@@ -3,11 +3,12 @@
 The ``BENCH_runtime.json`` trajectory (ROADMAP item 1).  Four fronts,
 all asserting bit-identical final states between configurations:
 
-* **mask vs object** — the dirty-set bitmask fast path
-  (``Runtime(fast=True)``, the default) against the object-walking
-  reference evaluator on the same loads.  The gap widens with process
-  width: the reference fixpoint re-walks every activity per pass while
-  the mask path re-checks only activities incident to a state change.
+* **mask vs scheduler** — the runtime's dirty-set bitmask evaluator
+  against ``ConstraintScheduler`` run once per case of the same loads,
+  the independent object-walking reference.  The gap widens
+  with process width: the full-scan fixpoint re-walks every activity per
+  pass while the mask path re-checks only activities incident to a state
+  change.
 * **worker scaling** — one case load served by ``WorkerPool`` at
   increasing worker counts (fork-based processes, no journal), pinned
   against the single-process runtime's states.  The record carries
@@ -61,8 +62,8 @@ FLUSH_SIZES = (1, 8, 64)
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
 
 #: workload -> (n_activities, case divisor).  Wider synthetic processes
-#: amplify the full-scan cost of the reference evaluator; their loads are
-#: scaled down so the object-path rounds stay tractable.
+#: amplify the full-scan cost of the reference scheduler; their loads are
+#: scaled down so the scheduler rounds stay tractable.
 MASK_WORKLOADS = (
     ("purchasing", None, 1),
     ("synthetic-40", 40, 1),
@@ -148,10 +149,12 @@ def test_worker_pool_matches_single_process(purchasing_program, purchasing_plans
     assert report.final_states() == single.final_states()
 
 
-def test_emit_bench_runtime_json(tmp_path, purchasing_program, artifact_sink):
+def test_emit_bench_runtime_json(
+    tmp_path, purchasing_program, artifact_sink, scheduler_serve
+):
     summary = []
 
-    # -- mask vs object reference, per workload ------------------------------
+    # -- mask runtime vs the scheduler reference, per workload ---------------
     mask_rows = []
     for label, n_activities, divisor in MASK_WORKLOADS:
         program = (
@@ -161,27 +164,29 @@ def test_emit_bench_runtime_json(tmp_path, purchasing_program, artifact_sink):
         )
         plans = _case_plans(program, max(50, CASES // divisor))
         best_fast, fast_report = _best_of(program, plans)
-        best_ref, ref_report = _best_of(program, plans, fast=False)
+        ref_runs = [scheduler_serve(program, plans) for _ in range(ROUNDS)]
+        best_ref = min(run[0] for run in ref_runs)
+        _wall, ref_states, _checks, ref_transitions = ref_runs[-1]
         assert fast_report.metrics.completed == len(plans)
-        assert fast_report.final_states() == ref_report.final_states()
-        # identical transition counts: the fast path replays the exact
+        assert fast_report.final_states() == ref_states
+        # identical transition counts: the mask path replays the exact
         # event sequence, it only finds it with less work
-        assert fast_report.metrics.transitions == ref_report.metrics.transitions
+        assert fast_report.metrics.transitions == ref_transitions
         mask_rows.append(
             {
                 "workload": label,
                 "activities": len(program.activities),
                 "cases": len(plans),
                 "mask_wall_seconds": round(best_fast, 6),
-                "object_wall_seconds": round(best_ref, 6),
+                "scheduler_wall_seconds": round(best_ref, 6),
                 "mask_cases_per_second": round(len(plans) / best_fast, 1),
-                "object_cases_per_second": round(len(plans) / best_ref, 1),
+                "scheduler_cases_per_second": round(len(plans) / best_ref, 1),
                 "speedup": round(best_ref / best_fast, 2),
                 "identical_final_states": True,
             }
         )
         summary.append(
-            "mask vs object %-14s %4d acts: %.0f vs %.0f cases/s (%.2fx)"
+            "mask vs scheduler %-14s %4d acts: %.0f vs %.0f cases/s (%.2fx)"
             % (
                 label,
                 len(program.activities),
@@ -340,8 +345,9 @@ def test_emit_bench_runtime_json(tmp_path, purchasing_program, artifact_sink):
     payload = {
         "benchmark": "runtime_scale",
         "description": (
-            "Mask-compiled serving vs the object-walking reference "
-            "evaluator, multi-process worker scaling, a big concurrent "
+            "Mask-compiled serving vs ConstraintScheduler run per case "
+            "(the object-walking full-scan reference), multi-process "
+            "worker scaling, a big concurrent "
             "run with latency quantiles, sequential-vs-parallel "
             "segmented-journal recovery, and journal group commit — "
             "identical final states asserted in every configuration."
@@ -350,7 +356,7 @@ def test_emit_bench_runtime_json(tmp_path, purchasing_program, artifact_sink):
         "shards": SHARDS,
         "rounds": ROUNDS,
         "cpu_count": cpu_count,
-        "mask_vs_object": mask_rows,
+        "mask_vs_scheduler": mask_rows,
         "worker_scaling": worker_rows,
         "big_run": big_row,
         "recovery": recovery_rows,

@@ -1,19 +1,26 @@
-"""Multi-case serving throughput: minimal vs full set, indexed vs naive.
+"""Multi-case serving throughput: minimal vs full set, runtime vs scheduler.
 
 The serving-side restatement of the paper's claim: minimizing the
 synchronization constraint set is not only a design-time simplification —
 it is runtime capacity.  Every admitted case evaluates its ready set
 against the constraint program, so fewer constraints (minimal vs full
-ASC) and cheaper lookups (per-activity index vs full scan) translate
-directly into cases per second.  Three claims are pinned:
+ASC) and cheaper evaluation (the runtime's dirty-set worklist vs the
+scheduler's full rescan) translate directly into cases per second.
+Three claims are pinned:
 
 * serving the same case load against the minimal and the full set yields
-  **identical per-case final states**, at strictly fewer constraint checks
-  and higher throughput for the minimal set;
-* the compiled per-activity index does strictly less evaluation work than
-  the naive full scan, again with identical results;
+  **identical per-case final states** (equal to the scheduler's), at
+  strictly fewer constraint checks per transition and no less throughput
+  for the minimal set;
+* the runtime inspects strictly fewer constraints than
+  ``ConstraintScheduler`` running every case of the same load, again
+  with identical results;
 * a run crashed mid-flight (journal fault injection) and recovered
   completes exactly the same case set as an uninterrupted run.
+
+``checks`` counts the incoming constraints each readiness test inspects,
+on the runtime and on the scheduler alike (the scheduler stops at the
+first unsatisfied one).
 
 ``BENCH_RUNTIME_CASES`` scales the concurrent-case count (default 1000;
 CI's runtime-smoke job sets a small value).  Artifacts land in
@@ -100,7 +107,9 @@ def prepared():
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_minimal_vs_full_throughput(benchmark, prepared, workload, artifact_sink):
+def test_minimal_vs_full_throughput(
+    benchmark, prepared, workload, artifact_sink, scheduler_serve
+):
     minimal, full, plans = prepared[workload]
 
     report = benchmark.pedantic(
@@ -108,19 +117,15 @@ def test_minimal_vs_full_throughput(benchmark, prepared, workload, artifact_sink
     )
     best_minimal, _ = _best_of(minimal, plans)
     best_full, full_report = _best_of(full, plans)
-    # the paper's evaluation-work metric (checks per transition) is
-    # measured on the object-walking reference evaluator; the mask fast
-    # path counts only dirty-set re-checks, a different (smaller) unit
-    ref_minimal = _serve(minimal, plans, fast=False)
-    ref_full = _serve(full, plans, fast=False)
+    _wall, reference, _checks, _transitions = scheduler_serve(minimal, plans)
 
     assert report.metrics.completed == CASES
     assert full_report.metrics.completed == CASES
     # the acceptance property: identical per-case final states...
     assert report.final_states() == full_report.final_states()
-    assert report.final_states() == ref_minimal.final_states()
+    assert report.final_states() == reference
     # ...at strictly less evaluation work and no less throughput
-    assert ref_minimal.metrics.checks < ref_full.metrics.checks
+    assert report.metrics.checks < full_report.metrics.checks
     assert best_minimal <= best_full
 
     artifact_sink(
@@ -139,8 +144,8 @@ def test_minimal_vs_full_throughput(benchmark, prepared, workload, artifact_sink
             SHARDS,
             len(full.constraints),
             len(minimal.constraints),
-            ref_full.metrics.checks_per_transition,
-            ref_minimal.metrics.checks_per_transition,
+            full_report.metrics.checks_per_transition,
+            report.metrics.checks_per_transition,
             ROUNDS,
             CASES / best_full,
             CASES / best_minimal,
@@ -152,38 +157,40 @@ def test_minimal_vs_full_throughput(benchmark, prepared, workload, artifact_sink
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_indexed_vs_naive_evaluation(benchmark, prepared, workload, artifact_sink):
+def test_runtime_vs_scheduler_evaluation(
+    benchmark, prepared, workload, artifact_sink, scheduler_serve
+):
     minimal, _full, plans = prepared[workload]
 
     report = benchmark.pedantic(
         _serve, args=(minimal, plans), rounds=ROUNDS, iterations=1
     )
-    best_indexed, _ = _best_of(minimal, plans)
-    best_naive, naive_report = _best_of(minimal, plans, indexed=False)
-    # inspection counts compared on the reference evaluator (see above);
-    # naive is always on it, fast is forced off when indexed=False
-    ref_indexed = _serve(minimal, plans, fast=False)
+    best_runtime, _ = _best_of(minimal, plans)
+    runs = [scheduler_serve(minimal, plans) for _ in range(ROUNDS)]
+    best_scheduler = min(run[0] for run in runs)
+    _wall, reference, scheduler_checks, transitions = runs[-1]
 
-    assert naive_report.metrics.completed == CASES
-    assert report.final_states() == naive_report.final_states()
-    assert ref_indexed.metrics.checks < naive_report.metrics.checks
+    assert report.metrics.completed == CASES
+    assert report.final_states() == reference
+    assert report.metrics.transitions == transitions
+    assert report.metrics.checks < scheduler_checks
 
     artifact_sink(
-        "runtime_index_%s" % workload,
-        "ready-set evaluation, per-activity index vs naive scan — %s, "
-        "%d cases\n"
-        "constraint inspections: naive=%d indexed=%d (%.1fx fewer)\n"
-        "wall (best of %d): naive=%.3fs indexed=%.3fs\n"
+        "runtime_vs_scheduler_%s" % workload,
+        "ready-set evaluation, runtime dirty-set worklist vs scheduler full "
+        "scan (one ConstraintScheduler run per case) — %s, %d cases\n"
+        "constraint inspections: scheduler=%d runtime=%d (%.1fx fewer)\n"
+        "wall (best of %d): scheduler=%.3fs runtime=%.3fs\n"
         "per-case final states identical: yes"
         % (
             workload,
             CASES,
-            naive_report.metrics.checks,
-            ref_indexed.metrics.checks,
-            naive_report.metrics.checks / ref_indexed.metrics.checks,
+            scheduler_checks,
+            report.metrics.checks,
+            scheduler_checks / report.metrics.checks,
             ROUNDS,
-            best_naive,
-            best_indexed,
+            best_scheduler,
+            best_runtime,
         ),
     )
 

@@ -723,8 +723,6 @@ def _run_serve_command(arguments) -> int:
     options = dict(
         shards=arguments.shards,
         batch=arguments.batch,
-        indexed=not arguments.naive,
-        fast=not arguments.no_fast,
         flush_every=arguments.flush_every,
         max_in_flight=arguments.max_in_flight,
         max_queue=arguments.max_queue,
@@ -806,8 +804,6 @@ def _run_serve_command(arguments) -> int:
 
         pool_options = dict(
             objects=options.get("objects"),
-            indexed=not arguments.naive,
-            fast=not arguments.no_fast,
             shards_per_worker=max(1, arguments.shards // arguments.workers),
             batch=arguments.batch,
             seed=arguments.seed,
@@ -1567,12 +1563,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "per record (default 1)",
     )
     serve.add_argument(
-        "--no-fast",
-        action="store_true",
-        help="serve on the object-walking reference evaluator instead of "
-        "the mask-compiled fast path (bit-for-bit identical results)",
-    )
-    serve.add_argument(
         "--crash-after", type=int, default=None, metavar="N",
         help="fault injection: simulate a crash after N journal records "
         "(exit code 3)",
@@ -1582,12 +1572,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="recover from --journal: adopt completed cases, resume "
         "in-flight ones, resubmit the rest",
-    )
-    serve.add_argument(
-        "--naive",
-        action="store_true",
-        help="use full-scan constraint evaluation instead of the "
-        "per-activity index",
     )
     serve.add_argument(
         "--max-in-flight", type=int, default=None, metavar="N",

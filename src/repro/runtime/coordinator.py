@@ -134,6 +134,11 @@ def result_from_journal(journaled: JournaledCase) -> CaseResult:
 class Runtime:
     """Coordinates many concurrent cases over one constraint program.
 
+    Every case runs on :class:`~repro.runtime.instance.CaseInstance`'s
+    mask-compiled evaluator; there is no alternative evaluation mode.  The
+    independent reference is the single-case ``ConstraintScheduler``,
+    which each case's journaled event sequence equals.
+
     Parameters
     ----------
     program:
@@ -142,13 +147,6 @@ class Runtime:
         Number of instance-store shards (``K``).
     batch:
         Cases advanced per shard per scheduling round.
-    indexed:
-        Use the per-activity constraint index (default); ``False`` swaps in
-        the naive full-scan evaluation as a cost baseline.
-    fast:
-        Serve cases on the mask-compiled dirty-set fast path (default);
-        ``False`` keeps the object-walking evaluation as the bit-for-bit
-        reference.  Ignored (off) when ``indexed=False``.
     flush_every:
         Journal group-commit size: flush the write-ahead journal every N
         records instead of per record (see
@@ -181,7 +179,6 @@ class Runtime:
         program: ConstraintProgram,
         shards: int = 4,
         batch: int = 8,
-        indexed: bool = True,
         max_in_flight: Optional[int] = None,
         max_queue: Optional[int] = None,
         journal_path: Optional[str] = None,
@@ -191,7 +188,6 @@ class Runtime:
         obs: Optional[Observability] = None,
         objects: Optional[ObjectSpec] = None,
         co_shard: bool = True,
-        fast: bool = True,
         flush_every: int = 1,
         external_gates: bool = False,
         version: int = 1,
@@ -211,8 +207,6 @@ class Runtime:
         self.drained = 0
         self.swap_rejected = 0
         self._batch = batch
-        self._indexed = indexed
-        self._fast = fast
         self._flush_every = flush_every
         self._seed = seed
         self._policies = policies or RetryPolicies()
@@ -480,13 +474,11 @@ class Runtime:
             case,
             self._programs.get(effective, self.program),
             outcomes=outcomes,
-            indexed=self._indexed,
             seed=self._seed,
             policies=self._policies,
             journal=self._journal,
             replay_prefix=prefix,
             objects=hook,
-            fast=self._fast,
         )
         placement_key = (
             binding.object_key
@@ -629,7 +621,7 @@ class Runtime:
         """Build an *unjournaled* replay probe of ``case`` under ``program``.
 
         Identical construction to :meth:`swap_case`'s replacement —
-        same outcome plan, seed, policies and evaluation strategy — but
+        same outcome plan, seed and policies — but
         with no journal attached, so the migration engine can drive the
         probe through its prefix without emitting anything.
         """
@@ -637,12 +629,10 @@ class Runtime:
             case,
             program,
             outcomes=self._outcome_plans.get(case, {}),
-            indexed=self._indexed,
             seed=self._seed,
             policies=self._policies,
             journal=None,
             replay_prefix=prefix,
-            fast=self._fast,
         )
 
     def _shard_holding(self, case: str):
@@ -667,12 +657,10 @@ class Runtime:
             case,
             self._programs[version],
             outcomes=self._outcome_plans.get(case, {}),
-            indexed=self._indexed,
             seed=self._seed,
             policies=self._policies,
             journal=self._journal,
             replay_prefix=prefix,
-            fast=self._fast,
         )
         shard.cases[case] = instance
         self._case_versions[case] = version

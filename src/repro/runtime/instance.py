@@ -4,10 +4,14 @@
 discrete-event engine (:mod:`repro.scheduler.engine`): the coordinator
 calls :meth:`step` to process exactly one timed event, so thousands of
 cases interleave fairly across shards instead of each monopolizing the
-loop until completion.  Under the default lossless retry policy a case's
-transition sequence (activities, times, outcomes) is bit-for-bit identical
-to ``ConstraintScheduler.run`` — the property the crash-recovery and
-minimal-vs-full equivalence tests pin.
+loop until completion.  It evaluates on the program's
+:class:`~repro.runtime.program.MaskProgram` only — the same fate,
+readiness and gate tests the verifier explores — while
+``ConstraintScheduler`` stays the independent object-walking reference.
+Under the default lossless retry policy a case's transition sequence
+(activities, times, outcomes) is bit-for-bit identical to
+``ConstraintScheduler.run`` — the property the crash-recovery,
+minimal-vs-full and scheduler-differential tests pin.
 
 Extras over the single-case engine:
 
@@ -46,7 +50,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from repro.conformance.events import FINISH, SKIP, START, Event
 from repro.errors import ProtocolViolation
 from repro.lint.diagnostics import Diagnostic, Severity, SourceLocation
-from repro.model.activity import ActivityState
 from repro.runtime.journal import COMPLETED, FAILED, Journal
 from repro.runtime.program import ConstraintProgram
 from repro.runtime.retry import RetryPolicies
@@ -68,13 +71,6 @@ class CaseStatus(enum.Enum):
     ACTIVE = "active"
     COMPLETED = "completed"
     FAILED = "failed"
-
-
-class _ActivityStatus(enum.Enum):
-    PENDING = "pending"
-    RUNNING = "running"
-    DONE = "done"
-    SKIPPED = "skipped"
 
 
 class _ReplayMismatch(Exception):
@@ -113,24 +109,23 @@ class CaseResult:
 class CaseInstance:
     """All mutable state of one case; shares the read-only program.
 
-    ``fast=True`` (the default, requires ``indexed=True``) serves the case
-    on the mask-compiled hot path: per-case state lives in five dense
-    integers (pending/running/done/skipped activity masks plus a guard
-    valuation mask over the program's interner) and the ready-set fixpoint
-    becomes a dirty-set worklist over ``MaskProgram.dependents`` — only
-    activities incident to a state change get re-checked, in the same
-    scheduling order and pass structure as the reference full scan, so the
-    emitted event sequence is bit-for-bit identical.  ``fast=False`` keeps
-    the original object-walking evaluation as the differential reference.
+    Activity state lives in five dense integers over the program's
+    interner: pending/running/done/skipped activity masks plus a guard
+    valuation mask.  Start and finish times and guard outcomes are kept by
+    name for :meth:`result`.  The ready-set fixpoint is a dirty-set
+    worklist over ``MaskProgram.dependents``: only activities incident to a
+    state change get re-checked, in the same scheduling order and pass
+    structure as the scheduler's full scan, so the emitted event sequence
+    is bit-for-bit the scheduler's.
     """
 
     __slots__ = (
         "case", "status", "reason", "retries", "checks", "transitions",
-        "diagnostics", "_program", "_outcome_map", "_indexed", "_seed",
-        "_policies", "_journal", "_prefix", "_status", "_start_time",
-        "_finish_time", "_outcomes", "_skipped", "_running", "_queue",
+        "diagnostics", "_program", "_outcome_map", "_seed",
+        "_policies", "_journal", "_prefix", "_start_time",
+        "_finish_time", "_outcomes", "_queue",
         "_sequence", "_held_finishes", "_services", "_started", "now",
-        "_objects", "_gate_waiting", "_gate_alarms", "_parked", "_fast",
+        "_objects", "_gate_waiting", "_gate_alarms", "_parked",
         "_masks", "_pending_m", "_running_m", "_done_m", "_skipped_m",
         "_val_m", "_dirty", "_callback_due", "_gate_check_mask",
     )
@@ -140,13 +135,11 @@ class CaseInstance:
         case: str,
         program: ConstraintProgram,
         outcomes: Optional[OutcomeMap] = None,
-        indexed: bool = True,
         seed: int = 0,
         policies: Optional[RetryPolicies] = None,
         journal: Optional[Journal] = None,
         replay_prefix: Tuple[Event, ...] = (),
         objects: Optional["CaseHook"] = None,
-        fast: bool = True,
     ) -> None:
         from repro.scheduler.services import ServiceSimulator
 
@@ -160,20 +153,14 @@ class CaseInstance:
 
         self._program = program
         self._outcome_map: OutcomeMap = dict(outcomes or {})
-        self._indexed = indexed
         self._seed = seed
         self._policies = policies or RetryPolicies()
         self._journal = journal
         self._prefix: List[Event] = list(replay_prefix)
 
-        self._status: Dict[str, _ActivityStatus] = {
-            name: _ActivityStatus.PENDING for name in program.activities
-        }
         self._start_time: Dict[str, float] = {}
         self._finish_time: Dict[str, float] = {}
         self._outcomes: OutcomeMap = {}
-        self._skipped: Set[str] = set()
-        self._running: Set[str] = set()
         self._queue: List[Tuple[float, int, str, object]] = []
         self._sequence = itertools.count()
         self._held_finishes: Dict[str, float] = {}
@@ -188,9 +175,6 @@ class CaseInstance:
         self._gate_alarms: Set[str] = set()
         self._parked = False
 
-        # The naive (indexed=False) baseline deliberately measures the
-        # full-scan object path, so fast only applies on top of the index.
-        self._fast = fast and indexed
         self._masks = program.masks()
         self._pending_m = self._masks.all_mask
         self._running_m = 0
@@ -203,7 +187,7 @@ class CaseInstance:
         #: dirty set as virtual time passes each pending callback.
         self._callback_due: List[Tuple[float, str]] = []
         gate_mask = 0
-        if self._fast and objects is not None:
+        if objects is not None:
             for act in self._masks.activities:
                 if objects.gate(act.name):
                     gate_mask |= act.bit
@@ -262,13 +246,13 @@ class CaseInstance:
         try:
             if kind == "finish":
                 name = str(payload)
-                if self._fine_grained_finish_blocked(name):
+                if self._finish_blocked(name):
                     self._held_finishes[name] = time
                 else:
                     self._finish(name, time)
             elif kind == "callback":
                 # The message/barrier is now available; re-evaluation below.
-                if self._fast and payload == "__objects__":
+                if payload == "__objects__":
                     self._dirty |= self._gate_check_mask
             elif kind == "attempt":
                 service, port, attempt = payload  # type: ignore[misc]
@@ -383,7 +367,7 @@ class CaseInstance:
             makespan=self.makespan,
             outcomes=tuple(sorted(self._outcomes.items())),
             executed=executed,
-            skipped=tuple(sorted(self._skipped)),
+            skipped=tuple(sorted(self._masks.names_of(self._skipped_m))),
             retries=self.retries,
             checks=self.checks,
             transitions=self.transitions,
@@ -414,17 +398,9 @@ class CaseInstance:
             return False
         if self._queue:
             return True
-        if self._fast:
-            live = self._pending_m | self._running_m
-            unfinished = sorted(self._masks.names_of(live)) if live else []
-        else:
-            unfinished = sorted(
-                name
-                for name, status in self._status.items()
-                if status in (_ActivityStatus.PENDING, _ActivityStatus.RUNNING)
-            )
-        if unfinished or self._held_finishes:
-            stuck = unfinished or sorted(self._held_finishes)
+        # Held finishes stay RUNNING, so they are among the unfinished.
+        stuck = sorted(self._masks.names_of(self._pending_m | self._running_m))
+        if stuck:
             message = "case stalled with unfinished activities: %s" % ", ".join(stuck)
             self._fail(
                 self.now,
@@ -449,49 +425,23 @@ class CaseInstance:
         return False
 
     def _deadlock_evidence(self, stuck: List[str]) -> Tuple[str, ...]:
-        """Per-activity blocking detail for RT004: the unsatisfied mask
-        unpacked back into constraint ids via the program's interner, using
-        the same phrasing as the verifier's VER001 counterexamples so the
-        two reports cross-reference.  Cold path — only runs on failure."""
-        masks = self._program.masks()
-        resolved = 0
-        for name, status in self._status.items():
-            if status in (_ActivityStatus.DONE, _ActivityStatus.SKIPPED):
-                index = masks.index.get(name)
-                if index is not None:
-                    resolved |= 1 << index
+        """Per-activity blocking detail for RT004, worded by the same
+        :meth:`MaskProgram.why_blocked` as the verifier's VER001
+        counterexamples so the two reports cross-reference.  Cold path —
+        only runs on failure."""
+        masks = self._masks
         evidence: List[str] = []
         for name in stuck:
-            if name not in masks.index:
-                continue
-            if self._status.get(name) is _ActivityStatus.RUNNING:
-                evidence.append("%s is RUNNING but its finish is gated" % name)
-                continue
-            if self._fate(name) is None:
-                waiting = sorted(
-                    cond.guard
-                    for cond in self._program.guards.get(name, frozenset())
+            act = masks.activities[masks.index[name]]
+            awaits = act.awaits_service
+            evidence.append(
+                masks.why_blocked(
+                    act, self._done_m, self._running_m, self._skipped_m,
+                    self._val_m,
+                    message_ready=awaits is None
+                    or self._services.message_available(awaits, self.now),
                 )
-                evidence.append(
-                    "%s waits on undecided guard(s) %s" % (name, ", ".join(waiting))
-                )
-                continue
-            blockers = masks.blocking_constraints(name, resolved)
-            if blockers:
-                evidence.append(
-                    "%s blocked by unsatisfied constraint(s): %s"
-                    % (name, ", ".join(str(c) for c in blockers))
-                )
-            elif not self._message_ready(name, self.now):
-                evidence.append(
-                    "%s awaits a service callback that never arrived" % name
-                )
-            elif self._exclusive_blocked(name):
-                evidence.append("%s blocked by a RUNNING exclusive partner" % name)
-            elif self._fine_grained_start_blocked(name):
-                evidence.append("%s start-gated by a fine-grained dependency" % name)
-            else:
-                evidence.append("%s is blocked" % name)
+            )
         return tuple(evidence)
 
     def _fail(
@@ -559,7 +509,7 @@ class CaseInstance:
         if self._journal is not None:
             self._journal.event(event)
 
-    # -- fate & readiness (mirrors repro.scheduler.engine) -------------------
+    # -- outcomes & held finishes --------------------------------------------
 
     def _resolve_outcome(self, guard: str) -> str:
         domain = self._program.outcome_domain(guard)
@@ -573,78 +523,12 @@ class CaseInstance:
             raise _ReplayMismatch(self.diagnostics[-1])
         return value
 
-    def _fate(self, name: str) -> Optional[bool]:
-        """True = will run, False = must skip, None = undecided."""
-        for condition in self._program.guards.get(name, frozenset()):
-            guard_status = self._status.get(condition.guard)
-            if guard_status is _ActivityStatus.SKIPPED:
-                return False
-            if guard_status is _ActivityStatus.DONE:
-                if self._outcomes.get(condition.guard) != condition.value:
-                    return False
-            else:
-                return None
-        return True
-
-    def _constraints_satisfied(self, name: str) -> bool:
-        if self._indexed:
-            constraints = self._program.incoming[name]
-        else:
-            # Naive baseline: scan the whole program per evaluation.
-            self.checks += len(self._program.constraints)
-            constraints = tuple(
-                c for c in self._program.constraints if c.target == name
-            )
-        for constraint in constraints:
-            if self._indexed:
-                self.checks += 1
-            status = self._status[constraint.source]
-            if status not in (_ActivityStatus.DONE, _ActivityStatus.SKIPPED):
-                return False
-        return True
-
-    def _message_ready(self, name: str, now: float) -> bool:
-        awaits = self._program.info[name].awaits
-        if awaits is None:
-            return True
-        return self._services.message_available(awaits, now)
-
-    def _exclusive_blocked(self, name: str) -> bool:
-        for partner in self._program.exclusive_partners.get(name, ()):
-            if partner in self._running:
-                return True
-        return False
-
-    def _fine_grained_start_blocked(self, name: str) -> bool:
-        for hb in self._program.fine_on_start.get(name, ()):
-            if self._vacuous(hb):
-                continue
-            if hb.left.activity not in self._start_time and hb.left.state in (
-                ActivityState.START,
-                ActivityState.RUN,
-            ):
-                return True
-            if (
-                hb.left.state is ActivityState.FINISH
-                and hb.left.activity not in self._finish_time
-            ):
-                return True
-        return False
-
-    def _fine_grained_finish_blocked(self, name: str) -> bool:
-        for hb in self._program.fine_on_finish.get(name, ()):
-            if self._vacuous(hb):
-                continue
-            left = hb.left.activity
-            if hb.left.state is ActivityState.FINISH:
-                if left not in self._finish_time:
-                    return True
-            elif left not in self._start_time:
-                return True
-        return False
-
-    def _vacuous(self, hb) -> bool:
-        return self._status.get(hb.left.activity) is _ActivityStatus.SKIPPED
+    def _finish_blocked(self, name: str) -> bool:
+        masks = self._masks
+        return masks.finish_blocked(
+            masks.activities[masks.index[name]],
+            self._done_m, self._running_m, self._skipped_m,
+        )
 
     # -- transitions ---------------------------------------------------------
 
@@ -660,16 +544,13 @@ class CaseInstance:
 
     def _start(self, name: str, now: float) -> None:
         self._emit(name, START, now)
-        self._status[name] = _ActivityStatus.RUNNING
         self._start_time[name] = now
-        self._running.add(name)
-        if self._fast:
-            masks = self._masks
-            position = masks.index[name]
-            bit = 1 << position
-            self._pending_m &= ~bit
-            self._running_m |= bit
-            self._dirty |= masks.dependents[position]
+        masks = self._masks
+        position = masks.index[name]
+        bit = 1 << position
+        self._pending_m &= ~bit
+        self._running_m |= bit
+        self._dirty |= masks.dependents[position]
         self._push(now + self._program.info[name].duration, "finish", name)
 
     def _finish(self, name: str, now: float) -> None:
@@ -683,24 +564,20 @@ class CaseInstance:
             self._objects.contribute(name, "satisfy", now)
             self._objects.once(name, now)
         self._emit(name, FINISH, now, outcome=outcome)
-        self._status[name] = _ActivityStatus.DONE
         self._finish_time[name] = now
-        self._running.discard(name)
+        masks = self._masks
+        position = masks.index[name]
+        bit = 1 << position
+        self._pending_m &= ~bit
+        self._running_m &= ~bit
+        self._done_m |= bit
         if outcome is not None:
             self._outcomes[name] = outcome
-        if self._fast:
-            masks = self._masks
-            position = masks.index[name]
-            bit = 1 << position
-            self._pending_m &= ~bit
-            self._running_m &= ~bit
-            self._done_m |= bit
-            if outcome is not None:
-                for value, value_mask in masks.activities[position].outcome_bits:
-                    if value == outcome:
-                        self._val_m |= value_mask
-                        break
-            self._dirty |= masks.dependents[position]
+            for value, value_mask in masks.activities[position].outcome_bits:
+                if value == outcome:
+                    self._val_m |= value_mask
+                    break
+        self._dirty |= masks.dependents[position]
         self._register_invocation(name, now)
         self._release_held_finishes(now)
 
@@ -708,19 +585,16 @@ class CaseInstance:
         if self._objects is not None and not self._prefix:
             self._objects.contribute(name, "cancel", now)
         self._emit(name, SKIP, now)
-        self._status[name] = _ActivityStatus.SKIPPED
-        self._skipped.add(name)
-        if self._fast:
-            masks = self._masks
-            position = masks.index[name]
-            self._pending_m &= ~(1 << position)
-            self._skipped_m |= 1 << position
-            self._dirty |= masks.dependents[position]
+        masks = self._masks
+        position = masks.index[name]
+        self._pending_m &= ~(1 << position)
+        self._skipped_m |= 1 << position
+        self._dirty |= masks.dependents[position]
         self._release_held_finishes(now)
 
     def _release_held_finishes(self, now: float) -> None:
         for name in list(self._held_finishes):
-            if not self._fine_grained_finish_blocked(name):
+            if not self._finish_blocked(name):
                 del self._held_finishes[name]
                 self._finish(name, now)
 
@@ -745,13 +619,12 @@ class CaseInstance:
                 return
             if callback is not None:
                 self._push(callback, "callback", service)
-                if self._fast:
-                    if callback <= now:
-                        # Zero-latency callback: the reference full scan
-                        # would see the message this very round.
-                        self._dirty |= self._masks.awaiters.get(service, 0)
-                    else:
-                        heapq.heappush(self._callback_due, (callback, service))
+                if callback <= now:
+                    # Zero-latency callback: a full scan would see the
+                    # message this very round.
+                    self._dirty |= self._masks.awaiters.get(service, 0)
+                else:
+                    heapq.heappush(self._callback_due, (callback, service))
             return
         if attempt < policy.max_attempts:
             self.retries += 1
@@ -765,53 +638,21 @@ class CaseInstance:
 
     def _evaluate(self, now: float) -> None:
         """Start or skip every pending activity that can move; repeats to a
-        fixpoint because skips cascade instantly."""
-        if self._fast:
-            self._evaluate_fast(now)
-            return
-        moved = True
-        while moved and self.status is CaseStatus.ACTIVE:
-            moved = False
-            for name in self._program.activities:
-                if self._status[name] is not _ActivityStatus.PENDING:
-                    continue
-                fate = self._fate(name)
-                if fate is False:
-                    self._gate_waiting.discard(name)
-                    self._gate_alarms.discard(name)
-                    self._skip(name, now)
-                    moved = True
-                    continue
-                if fate is None:
-                    continue
-                if not self._constraints_satisfied(name):
-                    continue
-                if not self._message_ready(name, now):
-                    continue
-                if self._exclusive_blocked(name):
-                    continue
-                if self._fine_grained_start_blocked(name):
-                    continue
-                if self._gate_blocked(name, now):
-                    continue
-                self._start(name, now)
-                moved = True
+        fixpoint because skips cascade instantly.
 
-    def _evaluate_fast(self, now: float) -> None:
-        """Dirty-set worklist twin of the full-scan fixpoint above.
-
-        A reference pass is an ascending scan over *all* pending activities;
-        here a pass is an ascending drain of the dirty set.  Equality of the
-        emitted sequence follows from two invariants: every readiness/fate
-        test is a pure function of state the ``dependents`` table tracks (so
-        an activity that was checked and did not move cannot move until one
-        of its inputs transitions), and a transition at position ``p`` routes
-        the freshly dirtied bits above ``p`` into the *current* pass (the
-        full scan would still reach them this pass) while bits at or below
-        ``p`` wait for the next pass — exactly the visibility the reference
-        scan gives them.  Message readiness is the one time-dependent test;
-        the ``_callback_due`` heap re-dirties awaiting activities as virtual
-        time passes each pending callback.
+        ``ConstraintScheduler``'s pass is an ascending scan over *all*
+        pending activities; here a pass is an ascending drain of the dirty
+        set.  Equality of the emitted sequence follows from two invariants:
+        every readiness/fate test is a pure function of state the
+        ``dependents`` table tracks (so an activity that was checked and did
+        not move cannot move until one of its inputs transitions), and a
+        transition at position ``p`` routes the freshly dirtied bits above
+        ``p`` into the *current* pass (the full scan would still reach them
+        this pass) while bits at or below ``p`` wait for the next pass —
+        exactly the visibility the full scan gives them.  Message readiness
+        is the one time-dependent test; the ``_callback_due`` heap
+        re-dirties awaiting activities as virtual time passes each pending
+        callback.
         """
         masks = self._masks
         due = self._callback_due
@@ -820,7 +661,6 @@ class CaseInstance:
         activities = masks.activities
         services = self._services
         gate_mask = self._gate_check_mask
-        foreign = masks.foreign_start_gate_mask
         while self.status is CaseStatus.ACTIVE:
             current = self._dirty & self._pending_m
             self._dirty = 0
@@ -832,18 +672,7 @@ class CaseInstance:
                 if not (low & self._pending_m):
                     continue  # resolved by an earlier cascade this pass
                 act = activities[low.bit_length() - 1]
-                fate: Optional[bool] = True
-                for guard_bit, value_bit in act.fate_checks:
-                    if guard_bit & self._skipped_m:
-                        fate = False
-                        break
-                    if guard_bit & self._done_m:
-                        if not (self._val_m & value_bit):
-                            fate = False
-                            break
-                    else:
-                        fate = None
-                        break
+                fate = masks.fate(act, self._val_m, self._skipped_m)
                 if fate is None:
                     continue
                 if fate is False:
@@ -852,7 +681,7 @@ class CaseInstance:
                     self._gate_alarms.discard(name)
                     self._skip(name, now)
                 else:
-                    self.checks += 1
+                    self.checks += act.in_degree
                     if act.pred_mask & ~(self._done_m | self._skipped_m):
                         continue
                     service = act.awaits_service
@@ -862,11 +691,8 @@ class CaseInstance:
                         continue
                     if act.exclusive_mask & self._running_m:
                         continue
-                    if (act.bit & foreign) or (
-                        act.start_gates
-                        and masks.start_blocked(
-                            act, self._done_m, self._running_m, self._skipped_m
-                        )
+                    if act.start_gates and masks.start_blocked(
+                        act, self._done_m, self._running_m, self._skipped_m
                     ):
                         continue
                     if (act.bit & gate_mask) and self._gate_blocked(act.name, now):

@@ -4,14 +4,10 @@ A :class:`ConstraintProgram` is the runtime counterpart of
 :class:`repro.conformance.monitor.MonitorProgram`: one immutable, indexed
 compilation of a constraint set that *every* concurrent case executes
 against.  Compiling once amortizes the indexing cost over thousands of
-process instances, and the per-activity ``incoming`` index means each
-ready-set evaluation touches only the constraints incident to the
-activity under consideration — ``O(degree)`` instead of ``O(|SC|)``.
-
-The unindexed strategy is kept (``indexed=False`` on
-:class:`~repro.runtime.instance.CaseInstance` /
-:class:`~repro.runtime.coordinator.Runtime`) as the baseline that
-``benchmarks/bench_runtime_throughput.py`` compares against.
+process instances.  :meth:`ConstraintProgram.masks` lowers it further into
+a :class:`MaskProgram` — the dense bitmask form that
+:class:`~repro.runtime.instance.CaseInstance` serves from and
+:mod:`repro.verify` explores, so both evaluate one set of predicates.
 """
 
 from __future__ import annotations
@@ -166,7 +162,7 @@ class MaskActivity:
     All masks live in the program's shared :class:`~repro.core.kernel.Interner`
     universe: activity bits are dense node ids, condition bits are interned
     ``Cond`` positions.  The runtime's readiness predicate for activity ``a``
-    becomes ``pred_mask & ~resolved == 0`` and its fate test a pair of mask
+    becomes ``pred_mask & ~resolved == 0`` and its fate test three mask
     intersections — the exact tests :mod:`repro.verify` explores symbolically.
     """
 
@@ -176,8 +172,11 @@ class MaskActivity:
     is_guard: bool
     #: sources of incoming constraints (activity bits); conditionality is
     #: deliberately ignored here — it only matters through guard maps, the
-    #: same asymmetry ``CaseInstance._constraints_satisfied`` implements.
+    #: same asymmetry ``ConstraintScheduler`` implements.
     pred_mask: int
+    #: number of incoming constraints: the constraints one readiness test
+    #: inspects, the paper's unit of evaluation cost.
+    in_degree: int
     #: condition bits that must all be present in the valuation to run.
     req_cond_mask: int
     #: valuation bits contradicting a required condition (sibling values).
@@ -191,7 +190,10 @@ class MaskActivity:
     two_phase: bool
     #: activity bits whose RUNNING status blocks this activity's start.
     exclusive_mask: int
-    #: fine-grained gates: (left bit, left-must-be-finished?, vacuous-if-skipped)
+    #: fine-grained gates as ``(left bit, left-must-be-finished?)``; a gate
+    #: whose left side is skipped is vacuous.  A left side outside the
+    #: program gets bit 0: never started, finished or skipped, it blocks
+    #: forever.
     start_gates: Tuple[Tuple[int, bool], ...]
     finish_gates: Tuple[Tuple[int, bool], ...]
     #: for bound RECEIVEs: one mask of invoker activities per request port.
@@ -200,23 +202,18 @@ class MaskActivity:
     #: some request port has no invoking activity in the program).
     await_possible: bool
     #: name of the awaited service (``None`` when not a bound RECEIVE) —
-    #: the serving fast path consults the live :class:`ServiceSimulator`
-    #: clock through this, where the verifier abstracts time away.
+    #: the runtime consults the live :class:`ServiceSimulator` clock
+    #: through this, where the verifier abstracts time away.
     awaits_service: Optional[str] = None
-    #: fate conditions as ``(guard bit, required valuation bit)`` pairs in
-    #: the *exact* iteration order of ``program.guards[name]`` — the order
-    #: ``CaseInstance._fate`` walks them — so the mask-compiled engine
-    #: resolves skip-vs-undecided ties identically to the object path.
-    fate_checks: Tuple[Tuple[int, int], ...] = ()
 
 
 class MaskProgram:
     """Dense bitmask compilation of a :class:`ConstraintProgram`.
 
-    This is the *shared ready-set test*: the verifier's successor relation
-    and the runtime's deadlock diagnostics both evaluate these masks, so a
-    ``VER001`` counterexample and an ``RT004`` failure name the same
-    blocking constraints.
+    This is the *shared ready-set test*: the runtime's serving loop and the
+    verifier's successor relation both evaluate these masks, and
+    :meth:`why_blocked` words both ``RT004`` and ``VER001`` evidence, so
+    the two reports name the same blocking constraints.
     """
 
     def __init__(self, program: ConstraintProgram) -> None:
@@ -270,20 +267,15 @@ class MaskProgram:
             req_cond_mask = 0
             conflict_mask = 0
             guard_dep_mask = 0
-            fate_checks: List[Tuple[int, int]] = []
             for cond in program.guards.get(name, frozenset()):
+                # A guard outside the program never resolves: its condition
+                # bit stays required and unset, so the fate stays undecided.
                 cond_mask = 1 << self.interner.cond_bit(cond)
                 req_cond_mask |= cond_mask
                 conflict_mask |= self.interner.conflict_of(cond_mask)
                 guard_index = self.index.get(cond.guard)
                 if guard_index is not None:
                     guard_dep_mask |= 1 << guard_index
-                    fate_checks.append((1 << guard_index, cond_mask))
-                else:
-                    # A guard outside the program can never resolve; the
-                    # zero-bit pair makes the fast fate report "undecided"
-                    # exactly where the object path does.
-                    fate_checks.append((0, cond_mask))
 
             outcome_bits: Tuple[Tuple[str, int], ...] = ()
             if info.is_guard and name in {c.guard for c in referenced}:
@@ -298,18 +290,8 @@ class MaskProgram:
                 if partner_index is not None:
                     exclusive_mask |= 1 << partner_index
 
-            start_gates = tuple(
-                (1 << self.index[hb.left.activity],
-                 hb.left.state is ActivityState.FINISH)
-                for hb in program.fine_on_start.get(name, ())
-                if hb.left.activity in self.index
-            )
-            finish_gates = tuple(
-                (1 << self.index[hb.left.activity],
-                 hb.left.state is ActivityState.FINISH)
-                for hb in program.fine_on_finish.get(name, ())
-                if hb.left.activity in self.index
-            )
+            start_gates = self._gates(program.fine_on_start.get(name, ()))
+            finish_gates = self._gates(program.fine_on_finish.get(name, ()))
 
             await_ports: Optional[Tuple[int, ...]] = None
             await_possible = True
@@ -324,12 +306,12 @@ class MaskProgram:
             activities.append(
                 MaskActivity(
                     awaits_service=info.awaits,
-                    fate_checks=tuple(fate_checks),
                     name=name,
                     index=index,
                     bit=bit,
                     is_guard=info.is_guard,
                     pred_mask=pred_mask,
+                    in_degree=len(program.incoming.get(name, ())),
                     req_cond_mask=req_cond_mask,
                     conflict_mask=conflict_mask,
                     guard_dep_mask=guard_dep_mask,
@@ -344,12 +326,12 @@ class MaskProgram:
             )
         self.activities: Tuple[MaskActivity, ...] = tuple(activities)
 
-        # Reverse adjacency for the serving fast path: ``dependents[i]`` is
-        # the mask of activities whose readiness or fate tests read activity
+        # Reverse adjacency for the serving loop: ``dependents[i]`` is the
+        # mask of activities whose readiness or fate tests read activity
         # ``i``'s status — the only ones worth re-checking after ``i``
         # transitions.  Over-approximating (re-checking a blocked activity)
         # is harmless; the dirty-set worklist only needs a superset of the
-        # activities the reference full scan would actually move.
+        # activities a full scan would actually move.
         dependents = [0] * len(self.activities)
         awaiters: Dict[str, int] = {}
         for act in self.activities:
@@ -369,18 +351,6 @@ class MaskProgram:
         #: service name -> mask of activities awaiting its callback.
         self.awaiters: Dict[str, int] = awaiters
 
-        # ``start_gates`` drops fine-grained lefts outside the program, but
-        # the object path blocks on them forever (never skipped, so never
-        # vacuous; never started, so never satisfied).  The fast path must
-        # treat these activities as permanently start-blocked too.
-        foreign = 0
-        for act in self.activities:
-            for hb in program.fine_on_start.get(act.name, ()):
-                if hb.left.activity not in self.index:
-                    foreign |= act.bit
-        #: activities start-gated on a left side outside the program.
-        self.foreign_start_gate_mask: int = foreign
-
         # Projection table: a branching guard's valuation bits stop mattering
         # once every activity whose fate reads them is resolved.
         branch_guards: List[Tuple[int, int]] = []
@@ -398,11 +368,23 @@ class MaskProgram:
             branch_guards.append((dependents, guard_value_bits))
         self.branch_guards: Tuple[Tuple[int, int], ...] = tuple(branch_guards)
 
+    def _gates(self, gates: Iterable[HappenBefore]) -> Tuple[Tuple[int, bool], ...]:
+        return tuple(
+            (1 << self.index[hb.left.activity] if hb.left.activity in self.index else 0,
+             hb.left.state is ActivityState.FINISH)
+            for hb in gates
+        )
+
     # -- the shared ready-set / fate tests -----------------------------------
 
     def fate(self, act: MaskActivity, valuation: int, skipped: int) -> Optional[bool]:
-        """True = will run, False = must skip, None = undecided (bitmask twin
-        of ``CaseInstance._fate``)."""
+        """True = will run, False = must skip, None = undecided.
+
+        Independent of the order the guard conditions are listed in: any
+        skipped guard or any guard resolved to another value decides False,
+        even while other guards are still undecided; otherwise any
+        undecided guard gives None; otherwise True.
+        """
         if valuation & act.conflict_mask:
             return False
         if skipped & act.guard_dep_mask:
@@ -463,6 +445,34 @@ class MaskProgram:
             elif not started & left_bit:
                 return True
         return False
+
+    def why_blocked(self, act: MaskActivity, done: int, running: int,
+                    skipped: int, valuation: int, message_ready: bool) -> str:
+        """Why a stuck activity cannot move — one line of ``RT004`` or
+        ``VER001`` evidence.  The caller decides message readiness: the
+        runtime from its live service clock once its event queue has
+        drained, the verifier from invoker bits."""
+        name = act.name
+        if running & act.bit:
+            return "%s is RUNNING but its finish is gated" % name
+        if self.fate(act, valuation, skipped) is None:
+            waiting = sorted(
+                cond.guard for cond in self.program.guards.get(name, frozenset())
+            )
+            return "%s waits on undecided guard(s) %s" % (name, ", ".join(waiting))
+        blockers = self.blocking_constraints(name, done | skipped)
+        if blockers:
+            return "%s blocked by unsatisfied constraint(s): %s" % (
+                name,
+                ", ".join(str(c) for c in blockers),
+            )
+        if not message_ready:
+            return "%s awaits a service callback that can never arrive" % name
+        if running & act.exclusive_mask:
+            return "%s blocked by a RUNNING exclusive partner" % name
+        if self.start_blocked(act, done, running, skipped):
+            return "%s start-gated by a fine-grained dependency" % name
+        return "%s is blocked" % name
 
     def project_valuation(self, valuation: int, pending: int) -> int:
         """Drop valuation bits no pending activity's fate can still read."""

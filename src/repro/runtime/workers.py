@@ -131,8 +131,6 @@ class _WorkerOptions:
     crash_after: Optional[int]
     shards: int
     batch: int
-    indexed: bool
-    fast: bool
     flush_every: int
     co_shard: bool
     seed: int
@@ -235,8 +233,6 @@ class _ShardWorker:
         kwargs = dict(
             shards=options.shards,
             batch=options.batch,
-            indexed=options.indexed,
-            fast=options.fast,
             flush_every=options.flush_every,
             co_shard=options.co_shard,
             seed=options.seed,
@@ -467,8 +463,6 @@ class WorkerPool:
         journal_dir: Optional[str] = None,
         objects: Optional[ObjectSpec] = None,
         co_shard: bool = True,
-        indexed: bool = True,
-        fast: bool = True,
         flush_every: int = 1,
         crash_after: Optional[object] = None,
         shards_per_worker: int = 2,
@@ -494,8 +488,6 @@ class WorkerPool:
         self._journal_dir = journal_dir
         self._spec = objects if objects else None
         self._co_shard = co_shard
-        self._indexed = indexed
-        self._fast = fast
         self._flush_every = flush_every
         self._crash_after = crash_after
         self._shards_per_worker = shards_per_worker
@@ -669,8 +661,6 @@ class WorkerPool:
                         crash_after=self._crash_for(index, recovering),
                         shards=self._shards_per_worker,
                         batch=self._batch,
-                        indexed=self._indexed,
-                        fast=self._fast,
                         flush_every=self._flush_every,
                         co_shard=self._co_shard,
                         seed=self._seed,

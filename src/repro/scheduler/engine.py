@@ -223,7 +223,13 @@ class _RunState:
     # -- fate & readiness -----------------------------------------------------
 
     def _fate(self, name: str) -> Optional[bool]:
-        """True = will run, False = must skip, None = undecided."""
+        """True = will run, False = must skip, None = undecided.
+
+        A skipped guard or one resolved to another value decides False
+        even while other guards are undecided, so the answer does not
+        depend on the order the guard map lists its conditions in.
+        """
+        fate: Optional[bool] = True
         for condition in self._s._sc.guard_of(name):
             guard_status = self._status.get(condition.guard)
             if guard_status is _Status.SKIPPED:
@@ -232,8 +238,8 @@ class _RunState:
                 if self._outcomes.get(condition.guard) != condition.value:
                     return False
             else:
-                return None
-        return True
+                fate = None
+        return fate
 
     def _constraints_satisfied(self, name: str) -> bool:
         for constraint in self._s._incoming[name]:

@@ -7,9 +7,13 @@ A state is four machine-int masks over the program's interned universe
 
 ``done``/``running``/``skipped`` are activity bits; ``valuation`` holds the
 interned ``Cond`` bits produced by the guard branches taken so far.  The
-successor relation evaluates exactly the runtime's readiness predicates —
-the same pred/fate/message/gate masks ``CaseInstance`` checks — so the
-verifier explores precisely what serving executes.
+successor relation evaluates exactly the runtime's predicates — the same
+:class:`MaskProgram` fate, readiness, exclusive and fine-grained gate tests
+``CaseInstance`` serves with — except for message timing: the runtime asks
+its live service clock whether a callback has arrived, the verifier only
+whether every request port of the awaited service has an invoker DONE, so
+it abstracts time away.  Deadlock evidence comes from the same
+:meth:`MaskProgram.why_blocked` that words the runtime's ``RT004``.
 
 Two mechanisms keep the space small:
 
@@ -336,38 +340,13 @@ class StateSpace:
             probe ^= low
             act = masks.activities[low.bit_length() - 1]
             stuck.append(act.name)
-            blockers.append(self._why_stuck(act, state))
+            blockers.append(
+                masks.why_blocked(
+                    act, done, running, skipped, valuation,
+                    message_ready=masks.message_ready(act, done),
+                )
+            )
         return Terminal(state, done, running, skipped, tuple(stuck), tuple(blockers))
-
-    def _why_stuck(self, act: MaskActivity, state: State) -> str:
-        masks = self.masks
-        done, running, skipped, valuation = state
-        resolved = done | skipped
-        if running & act.bit:
-            return "%s is RUNNING but its finish is gated" % act.name
-        fate = masks.fate(act, valuation, skipped)
-        if fate is None:
-            waiting = sorted(
-                cond.guard
-                for cond in masks.program.guards.get(act.name, frozenset())
-            )
-            return "%s waits on undecided guard(s) %s" % (
-                act.name,
-                ", ".join(waiting),
-            )
-        unsatisfied = masks.unsatisfied(act, resolved)
-        if unsatisfied:
-            names = ", ".join(
-                str(c) for c in masks.blocking_constraints(act.name, resolved)
-            )
-            return "%s blocked by unsatisfied constraint(s): %s" % (act.name, names)
-        if not masks.message_ready(act, done):
-            return "%s awaits a service callback that can never arrive" % act.name
-        if running & act.exclusive_mask:
-            return "%s blocked by a RUNNING exclusive partner" % act.name
-        if masks.start_blocked(act, done, running, skipped):
-            return "%s start-gated by a fine-grained dependency" % act.name
-        return "%s is blocked" % act.name
 
     # -- helpers -------------------------------------------------------------
 

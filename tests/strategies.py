@@ -5,7 +5,8 @@ synchronization constraint sets with optional conditional (guarded)
 structure: node indices only ever point forward, so every drawn set is a
 DAG; guards are chosen among the nodes and their conditional edges point at
 strictly later nodes, with the guard map derived from those edges — the
-same well-formedness the extractors guarantee.
+same well-formedness the extractors guarantee.  An activity reached by
+conditional edges from both guards is guarded by both decisions.
 """
 
 from __future__ import annotations
@@ -45,8 +46,13 @@ def constraint_sets(
     max_nodes: int = 8,
     max_edges: int = 14,
     with_conditions: bool = True,
+    max_guards_per_activity: int = 2,
 ) -> SynchronizationConstraintSet:
-    """A random acyclic constraint set, optionally with guarded structure."""
+    """A random acyclic constraint set, optionally with guarded structure.
+
+    ``max_guards_per_activity=1`` keeps every guard map single-condition,
+    for consumers (the Petri translations) that support only that shape.
+    """
     node_count, edges = draw(dag_edges(min_nodes, max_nodes, max_edges))
     names = ["n%d" % i for i in range(node_count)]
 
@@ -73,10 +79,16 @@ def constraint_sets(
                 Cond(names[source_index], condition)
             )
 
-    # Keep guard maps single-condition per activity (the shape the model
-    # produces for non-nested branches) by dropping extras deterministically.
+    # Keep at most one condition per guard (two values of one guard would
+    # be contradictory), so an activity gets up to two conditions on
+    # independent guards: the decision-synchronization shape.
     cleaned_guards = {
-        activity: frozenset(sorted(conditions)[:1])
+        activity: frozenset(
+            sorted(
+                min(c for c in conditions if c.guard == guard)
+                for guard in {c.guard for c in conditions}
+            )[:max_guards_per_activity]
+        )
         for activity, conditions in guards.items()
     }
     return SynchronizationConstraintSet(

@@ -223,14 +223,14 @@ class TestConstraintTranslation:
         assert "skip__t__invPurchase_po" in fired  # skipped on the F branch
 
     @SLOW
-    @given(constraint_sets(max_nodes=6, max_edges=9))
+    @given(constraint_sets(max_nodes=6, max_edges=9, max_guards_per_activity=1))
     def test_random_acyclic_sets_translate_to_sound_nets(self, sc):
         net, _ = constraint_set_to_petri_net(sc)
         report = check_soundness(net, state_limit=50_000)
         assert report.is_sound, report.problems
 
     @SLOW
-    @given(constraint_sets(max_nodes=6, max_edges=9))
+    @given(constraint_sets(max_nodes=6, max_edges=9, max_guards_per_activity=1))
     def test_minimization_preserves_soundness(self, sc):
         minimal = minimize(sc, Semantics.GUARD_AWARE)
         net, _ = constraint_set_to_petri_net(minimal)

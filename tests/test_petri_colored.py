@@ -144,13 +144,13 @@ class TestColoredTranslation:
         assert not colored_net_completes(net, initial)
 
     @SLOW
-    @given(constraint_sets(max_nodes=6, max_edges=9))
+    @given(constraint_sets(max_nodes=6, max_edges=9, max_guards_per_activity=1))
     def test_random_sets_complete(self, sc):
         net, initial = constraint_set_to_colored_net(sc)
         assert colored_net_completes(net, initial, state_limit=50_000)
 
     @SLOW
-    @given(constraint_sets(max_nodes=6, max_edges=9))
+    @given(constraint_sets(max_nodes=6, max_edges=9, max_guards_per_activity=1))
     def test_agrees_with_black_token_translation(self, sc):
         """Both Petri translations agree on behavioral acceptability."""
         from repro.petri.from_constraints import constraint_set_to_petri_net

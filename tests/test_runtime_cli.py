@@ -161,6 +161,10 @@ class TestServe:
         assert main(["serve", "purchasing", "--crash-after", "5"]) == 2
         assert "--journal" in capsys.readouterr().err
 
-    def test_naive_mode_serves_same_cases(self, capsys):
-        assert main(["serve", "purchasing", "--cases", "10", "--naive"]) == 0
-        assert "10 completed" in capsys.readouterr().out
+    def test_evaluator_mode_flags_are_gone(self, capsys):
+        # One evaluator serves every case; there is no mode to pick.
+        for flag in ("--naive", "--no-fast"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["serve", "purchasing", "--cases", "10", flag])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: %s" % flag in capsys.readouterr().err

@@ -14,7 +14,11 @@ import itertools
 
 import pytest
 
+from repro.core.constraints import Constraint, SynchronizationConstraintSet
+from repro.dscl.ast import HappenBefore
 from repro.errors import SchedulingError
+from repro.model.activity import ActivityState, StateRef
+from repro.model.builder import ProcessBuilder
 from repro.runtime import (
     CaseInstance,
     CaseStatus,
@@ -124,12 +128,22 @@ class TestEvaluationCost:
         b = CaseInstance("c", full).run_to_completion()
         assert a.checks < b.checks
 
-    def test_indexed_costs_fewer_checks_than_naive(self, purchasing_weave):
-        program = program_from_weave(purchasing_weave, "minimal", target="runtime")
-        indexed = CaseInstance("c", program, indexed=True).run_to_completion()
-        naive = CaseInstance("c", program, indexed=False).run_to_completion()
-        assert indexed.final_state() == naive.final_state()
-        assert indexed.checks < naive.checks
+    def test_dirty_set_costs_fewer_checks_than_full_scan(self, all_weaves):
+        # The scheduler re-scans every pending activity on every pass; the
+        # runtime re-checks only activities incident to a state change.
+        # Both count the incoming constraints each readiness test inspects.
+        for name, (process, result) in all_weaves.items():
+            program = program_from_weave(result, "minimal", target="runtime")
+            for outcomes in outcome_combos(program):
+                run = CaseInstance("c", program, outcomes=outcomes).run_to_completion()
+                scan = ConstraintScheduler(
+                    process,
+                    result.minimal,
+                    fine_grained=result.fine_grained,
+                    exclusives=result.exclusives,
+                ).run(outcomes=outcomes)
+                assert run.makespan == scan.makespan, name
+                assert run.checks < scan.constraint_checks, (name, outcomes)
 
     def test_checks_and_transitions_are_recorded(self, purchasing_weave):
         program = program_from_weave(purchasing_weave, "minimal", target="runtime")
@@ -153,3 +167,59 @@ class TestStepwiseExecution:
         instance.run_to_completion()
         assert instance.status is CaseStatus.COMPLETED
         assert instance.step() is False
+
+
+def foreign_gated_program(right_state):
+    """``x -> y`` plus ``F(ext) -> <right_state>(y)``, where ``ext`` is a
+    process activity the constraint set does not schedule."""
+    process = (
+        ProcessBuilder("foreign-gate")
+        .compute("ext")
+        .compute("x")
+        .compute("y")
+        .build()
+    )
+    sc = SynchronizationConstraintSet(
+        activities=["x", "y"], constraints=[Constraint("x", "y")]
+    )
+    gate = HappenBefore(
+        StateRef("ext", ActivityState.FINISH), StateRef("y", right_state)
+    )
+    return compile_program(process, sc, fine_grained=[gate])
+
+
+class TestForeignFineGrainedGate:
+    """A fine-grained left side outside the program is never started,
+    finished or skipped, so the gate it imposes never opens."""
+
+    def _deadlock(self, right_state):
+        instance = CaseInstance("c", foreign_gated_program(right_state))
+        result = instance.run_to_completion()
+        assert result.status == "failed"
+        (rt004,) = [d for d in instance.diagnostics if d.code == "RT004"]
+        return result, rt004.evidence
+
+    def test_start_side_blocks_forever(self):
+        result, evidence = self._deadlock(ActivityState.START)
+        assert [name for name, _, _ in result.executed] == ["x"]
+        assert "y start-gated by a fine-grained dependency" in evidence
+
+    def test_finish_side_blocks_forever(self):
+        result, evidence = self._deadlock(ActivityState.FINISH)
+        # y starts, but its finish is held back for good.
+        assert [name for name, _, _ in result.executed] == ["x"]
+        assert "y is RUNNING but its finish is gated" in evidence
+        assert result.transitions == 3
+
+    @pytest.mark.parametrize("right_state", [ActivityState.START, ActivityState.FINISH])
+    def test_verifier_reports_the_same_blocker(self, right_state):
+        from repro.verify import verify_program
+
+        program = foreign_gated_program(right_state)
+        ver001 = next(
+            d for d in verify_program(program).diagnostics if d.code == "VER001"
+        )
+        _result, evidence = self._deadlock(right_state)
+        assert [line for line in ver001.evidence if line.startswith("y ")] == [
+            line for line in evidence if line.startswith("y ")
+        ]
