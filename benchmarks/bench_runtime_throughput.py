@@ -30,6 +30,8 @@ CI's runtime-smoke job sets a small value).  Artifacts land in
 from __future__ import annotations
 
 import os
+import statistics
+import time
 
 import pytest
 
@@ -44,6 +46,10 @@ from repro.workloads.synthetic import SyntheticSpec, generate_dependency_set
 CASES = int(os.environ.get("BENCH_RUNTIME_CASES", "1000"))
 SHARDS = 8
 ROUNDS = 3
+#: interleaved minimal/full rounds behind the throughput comparison; the
+#: two sets differ by a few percent, so host drift must hit both alike.
+#: Even, so each program runs first in half of the rounds.
+PAIRED_ROUNDS = 10
 WORKLOADS = ["purchasing", "synthetic"]
 
 
@@ -94,6 +100,24 @@ def _best_of(program, plans, rounds=ROUNDS, **options):
     return best, report
 
 
+def _paired_cpu_medians(programs, plans):
+    """``(median CPU seconds, last report)`` per program of ``plans``
+    served ``PAIRED_ROUNDS`` times, the programs interleaved round by
+    round (alternating which goes first) so host-speed drift lands on
+    every side alike."""
+    seconds = [[] for _ in programs]
+    reports = [None for _ in programs]
+    for round_index in range(PAIRED_ROUNDS):
+        order = list(range(len(programs)))
+        if round_index % 2:
+            order.reverse()
+        for index in order:
+            started = time.process_time()
+            reports[index] = _serve(programs[index], plans)
+            seconds[index].append(time.process_time() - started)
+    return [statistics.median(values) for values in seconds], reports
+
+
 @pytest.fixture(scope="module")
 def prepared():
     """``workload -> (minimal program, full program, case plans)``."""
@@ -115,8 +139,9 @@ def test_minimal_vs_full_throughput(
     report = benchmark.pedantic(
         _serve, args=(minimal, plans), rounds=ROUNDS, iterations=1
     )
-    best_minimal, _ = _best_of(minimal, plans)
-    best_full, full_report = _best_of(full, plans)
+    (cpu_minimal, cpu_full), (_, full_report) = _paired_cpu_medians(
+        (minimal, full), plans
+    )
     _wall, reference, _checks, _transitions = scheduler_serve(minimal, plans)
 
     assert report.metrics.completed == CASES
@@ -126,7 +151,7 @@ def test_minimal_vs_full_throughput(
     assert report.final_states() == reference
     # ...at strictly less evaluation work and no less throughput
     assert report.metrics.checks < full_report.metrics.checks
-    assert best_minimal <= best_full
+    assert cpu_minimal <= cpu_full
 
     artifact_sink(
         "runtime_throughput_%s" % workload,
@@ -134,8 +159,8 @@ def test_minimal_vs_full_throughput(
         "%d shards\n"
         "constraints: full=%d minimal=%d\n"
         "checks/transition: full=%.2f minimal=%.2f\n"
-        "throughput (best of %d): full=%.0f cases/sec, minimal=%.0f cases/sec "
-        "(%.2fx)\n"
+        "throughput (median CPU time of %d interleaved rounds): full=%.0f "
+        "cases/sec, minimal=%.0f cases/sec (%.2fx)\n"
         "virtual latency (minimal): p50=%.1f p95=%.1f\n"
         "per-case final states identical: yes"
         % (
@@ -146,10 +171,10 @@ def test_minimal_vs_full_throughput(
             len(minimal.constraints),
             full_report.metrics.checks_per_transition,
             report.metrics.checks_per_transition,
-            ROUNDS,
-            CASES / best_full,
-            CASES / best_minimal,
-            best_full / best_minimal,
+            PAIRED_ROUNDS,
+            CASES / cpu_full,
+            CASES / cpu_minimal,
+            cpu_full / cpu_minimal,
             report.metrics.latency_p50,
             report.metrics.latency_p95,
         ),

@@ -57,6 +57,10 @@ from repro.deps.registry import DependencySet
 from repro.model.process import BusinessProcess
 
 
+#: The bundled workloads every command accepts.
+WORKLOADS = ("purchasing", "deployment", "loan", "travel", "insurance", "orders")
+
+
 def _load_workload(name: str) -> Tuple[BusinessProcess, DependencySet]:
     if name == "purchasing":
         from repro.workloads.purchasing import (
@@ -115,18 +119,45 @@ def _split_codes(values: List[str]) -> List[str]:
     return codes
 
 
-def _run_lint_command(arguments) -> int:
+def _weave_checked(name: str) -> Optional[Tuple[BusinessProcess, WeaveResult]]:
+    """:func:`_weave`, reporting a cyclic specification as ``SYNC003``
+    (the caller exits 1 on ``None``)."""
     from repro.errors import CycleError
-    from repro.lint import Baseline, LintConfig, LintContext, render, run_lint
 
     try:
-        process, result = _weave(arguments.workload)
+        return _weave(name)
     except CycleError as error:
-        print(
-            "error SYNC003 [process:%s] %s" % (arguments.workload, error),
-            file=sys.stderr,
-        )
+        print("error SYNC003 [process:%s] %s" % (name, error), file=sys.stderr)
+        return None
+
+
+def _rule_config(arguments):
+    """The ``LintConfig`` of the ``--select/--ignore/--fail-on/--baseline``
+    group, or ``None`` after reporting an unreadable baseline (exit 2)."""
+    from repro.lint import Baseline, LintConfig
+
+    baseline = None
+    if arguments.baseline:
+        try:
+            baseline = Baseline.load(arguments.baseline)
+        except (OSError, ValueError) as error:
+            print("cannot load baseline: %s" % error, file=sys.stderr)
+            return None
+    return LintConfig.from_codes(
+        select=_split_codes(arguments.select) or arguments.default_select,
+        ignore=_split_codes(arguments.ignore),
+        fail_on=arguments.fail_on,
+        baseline=baseline,
+    )
+
+
+def _run_lint_command(arguments) -> int:
+    from repro.lint import Baseline, LintContext, render, run_lint
+
+    woven = _weave_checked(arguments.workload)
+    if woven is None:
         return 1
+    _process, result = woven
 
     construct = None
     if arguments.constructs:
@@ -141,20 +172,9 @@ def _run_lint_command(arguments) -> int:
 
         construct = build_purchasing_constructs()
 
-    baseline = None
-    if arguments.baseline:
-        try:
-            baseline = Baseline.load(arguments.baseline)
-        except (OSError, ValueError) as error:
-            print("cannot load baseline: %s" % error, file=sys.stderr)
-            return 2
-
-    config = LintConfig.from_codes(
-        select=_split_codes(arguments.select),
-        ignore=_split_codes(arguments.ignore),
-        fail_on=arguments.fail_on,
-        baseline=baseline,
-    )
+    config = _rule_config(arguments)
+    if config is None:
+        return 2
     context = LintContext.from_weave(result, construct=construct)
     report = run_lint(context, config)
 
@@ -184,18 +204,6 @@ _PERTURBATION_KINDS = (
     "dead_branch",
     "truncate",
 )
-
-
-def _load_event_log(path: str, log_format: Optional[str] = None):
-    """Read an event log, sniffing the format from extension and content.
-
-    Runtime WAL journals are recognized by their ``{"rt": ...}`` control
-    records and ingested duplicate-tolerantly, so ``replay``/``monitor``/
-    ``discover`` consume journals directly.
-    """
-    from repro.discover.ingest import load_log
-
-    return load_log(path, log_format)
 
 
 def _conformance_program(arguments):
@@ -291,15 +299,17 @@ def _print_replay_report(report, arguments) -> int:
 
 def _run_replay_command(arguments) -> int:
     from repro.conformance import program_from_weave, replay, verdicts_agree
+    from repro.discover.ingest import load_log
 
     try:
-        log = _load_event_log(arguments.log, arguments.log_format)
+        # Sniffs the format; WAL journals ingest duplicate-tolerantly.
+        log = load_log(arguments.log, arguments.log_format)
     except (OSError, ValueError) as error:
         print("cannot load log: %s" % error, file=sys.stderr)
         return 2
     result, program = _conformance_program(arguments)
     obs = _make_obs(arguments)
-    report = replay(log, program, indexed=not arguments.naive, obs=obs)
+    report = replay(log, program, obs=obs)
     _flush_obs(obs, arguments)
     if arguments.compare:
         other_which = "full" if arguments.set == "minimal" else "minimal"
@@ -452,27 +462,17 @@ def _case_plans(program, count: int) -> Dict[str, Dict[str, str]]:
 
 
 def _run_verify_command(arguments) -> int:
-    from repro.errors import CycleError
-    from repro.lint import Baseline, LintConfig, LintContext, render, run_lint
+    from repro.lint import LintContext, render, run_lint
     from repro.programs import program_from_weave
     from repro.verify import verify_program
 
-    try:
-        _process, result = _weave(arguments.workload)
-    except CycleError as error:
-        print(
-            "error SYNC003 [process:%s] %s" % (arguments.workload, error),
-            file=sys.stderr,
-        )
+    woven = _weave_checked(arguments.workload)
+    if woven is None:
         return 1
-
-    baseline = None
-    if arguments.baseline:
-        try:
-            baseline = Baseline.load(arguments.baseline)
-        except (OSError, ValueError) as error:
-            print("cannot load baseline: %s" % error, file=sys.stderr)
-            return 2
+    _process, result = woven
+    config = _rule_config(arguments)
+    if config is None:
+        return 2
 
     program = program_from_weave(result, which=arguments.set, target="runtime")
     obs = _make_obs(arguments)
@@ -481,12 +481,6 @@ def _run_verify_command(arguments) -> int:
     )
     _flush_obs(obs, arguments)
 
-    config = LintConfig.from_codes(
-        select=_split_codes(arguments.select) or ["VER"],
-        ignore=_split_codes(arguments.ignore),
-        fail_on=arguments.fail_on,
-        baseline=baseline,
-    )
     context = LintContext.from_weave(result)
     context.verification = report
     lint_report = run_lint(context, config)
@@ -590,6 +584,33 @@ def _run_petri_command(arguments) -> int:
     return 0 if soundness.is_sound else 1
 
 
+def _recover_hint(arguments) -> str:
+    """The ``serve`` command line that recovers a crashed run."""
+    hint = "dscweaver serve %s --cases %d --set %s --journal %s --recover" % (
+        arguments.workload,
+        arguments.cases,
+        arguments.set,
+        arguments.journal,
+    )
+    if arguments.workers > 1:
+        hint += " --workers %d" % arguments.workers
+    if arguments.objects:
+        hint += " --objects --fan-out %d" % arguments.fan_out
+        if arguments.cancel_every:
+            hint += " --cancel-every %d" % arguments.cancel_every
+        if arguments.withhold:
+            hint += " --withhold %d" % arguments.withhold
+        if arguments.random_shard:
+            hint += " --random-shard"
+    if arguments.redeploy_after is not None:
+        hint += " --redeploy-after %d --to %s --strategy %s" % (
+            arguments.redeploy_after,
+            arguments.to,
+            arguments.strategy,
+        )
+    return hint
+
+
 def _run_serve_command(arguments) -> int:
     from repro.lint import Severity, render
     from repro.runtime import (
@@ -647,7 +668,6 @@ def _run_serve_command(arguments) -> int:
     program = program_from_weave(result, which=arguments.set, target="runtime")
 
     deploy_spec = None
-    registry = None
     redeploy_result = None
     if arguments.redeploy_after is not None:
         from repro.deploy import PoolSwap, ProgramRegistry, load_edits
@@ -720,19 +740,11 @@ def _run_serve_command(arguments) -> int:
             file=sys.stderr,
         )
         obs = None
-    options = dict(
-        shards=arguments.shards,
-        batch=arguments.batch,
-        flush_every=arguments.flush_every,
-        max_in_flight=arguments.max_in_flight,
-        max_queue=arguments.max_queue,
-        policies=policies,
-        seed=arguments.seed,
-        obs=obs,
-    )
 
     bindings = None
+    objects = None
     objects_info = None
+    co_shard = True
     if arguments.objects:
         if arguments.workload != "orders":
             print("--objects requires the orders workload", file=sys.stderr)
@@ -750,8 +762,8 @@ def _run_serve_command(arguments) -> int:
         except ValueError as error:
             print(str(error), file=sys.stderr)
             return 2
-        options["objects"] = orders_object_spec()
-        options["co_shard"] = not arguments.random_shard
+        objects = orders_object_spec()
+        co_shard = not arguments.random_shard
         objects_info = {
             "orders": order_count,
             "fan_out": arguments.fan_out,
@@ -775,42 +787,20 @@ def _run_serve_command(arguments) -> int:
             )
     else:
         plans = _case_plans(program, arguments.cases)
-    hint = "dscweaver serve %s --cases %d --set %s --journal %s --recover" % (
-        arguments.workload,
-        arguments.cases,
-        arguments.set,
-        arguments.journal,
-    )
-    if arguments.workers > 1:
-        hint += " --workers %d" % arguments.workers
-    if arguments.objects:
-        hint += " --objects --fan-out %d" % arguments.fan_out
-        if arguments.cancel_every:
-            hint += " --cancel-every %d" % arguments.cancel_every
-        if arguments.withhold:
-            hint += " --withhold %d" % arguments.withhold
-        if arguments.random_shard:
-            hint += " --random-shard"
-    if deploy_spec is not None:
-        hint += " --redeploy-after %d --to %s --strategy %s" % (
-            arguments.redeploy_after,
-            arguments.to,
-            arguments.strategy,
-        )
 
     recovery = None
-    if arguments.workers > 1:
-        from repro.runtime.workers import WorkerPool, read_manifest
+    try:
+        if arguments.workers > 1:
+            from repro.runtime.workers import WorkerPool, read_manifest
 
-        pool_options = dict(
-            objects=options.get("objects"),
-            shards_per_worker=max(1, arguments.shards // arguments.workers),
-            batch=arguments.batch,
-            seed=arguments.seed,
-            policies=policies,
-            deploy=deploy_spec,
-        )
-        try:
+            pool_options = dict(
+                objects=objects,
+                shards_per_worker=max(1, arguments.shards // arguments.workers),
+                batch=arguments.batch,
+                seed=arguments.seed,
+                policies=policies,
+                deploy=deploy_spec,
+            )
             if arguments.recover:
                 manifest = read_manifest(arguments.journal)
                 report = WorkerPool.recover(
@@ -836,95 +826,78 @@ def _run_serve_command(arguments) -> int:
                         )
                     )
             else:
-                pool = WorkerPool(
+                report = WorkerPool(
                     program,
                     workers=arguments.workers,
                     journal_dir=arguments.journal,
-                    co_shard=options.get("co_shard", True),
+                    co_shard=co_shard,
                     flush_every=arguments.flush_every,
                     crash_after=arguments.crash_after,
                     **pool_options,
-                )
-                report = pool.serve(plans, bindings)
-        except SimulatedCrash as crash:
-            print(
-                "simulated crash after journal record %d; recover with: %s"
-                % (crash.records_written, hint)
+                ).serve(plans, bindings)
+        else:
+            options = dict(
+                shards=arguments.shards,
+                batch=arguments.batch,
+                flush_every=arguments.flush_every,
+                max_in_flight=arguments.max_in_flight,
+                max_queue=arguments.max_queue,
+                policies=policies,
+                seed=arguments.seed,
+                obs=obs,
+                objects=objects,
+                co_shard=co_shard,
             )
-            return 3
-    else:
-        swap_engine = None
-        swap_armed = False
-        journal_state = None
-        if deploy_spec is not None:
-            from repro.deploy import MigrationEngine
-
-            swap_engine = MigrationEngine(
-                deploy_spec.old, deploy_spec.new, state_limit=deploy_spec.state_limit
-            )
-        if arguments.recover:
             if deploy_spec is not None:
+                options["programs"] = deploy_spec.programs()
+            if arguments.recover:
                 from repro.runtime import read_journal
 
-                journal_state = read_journal(arguments.journal)
-                options = dict(options)
-                options["programs"] = registry.programs()
-            runtime = Runtime.recover(
-                arguments.journal,
-                program,
-                crash_after=arguments.crash_after,
-                state=journal_state,
-                **options,
-            )
-            known = set(runtime.known_cases)
-            pending = {c: p for c, p in plans.items() if c not in known}
-            recovery = {
-                "journal": arguments.journal,
-                "adopted_or_resumed": len(known),
-                "resubmitted": len(pending),
-            }
-            if arguments.format == "text":
-                print(
-                    "recovered journal %s: %d case(s) adopted or resumed, "
-                    "%d resubmitted" % (arguments.journal, len(known), len(pending))
+                state = read_journal(arguments.journal)
+                runtime = Runtime.recover(
+                    arguments.journal,
+                    program,
+                    crash_after=arguments.crash_after,
+                    state=state,
+                    **options,
                 )
-            plans = pending
-            if deploy_spec is not None:
-                from repro.deploy import resume_swap
-
-                if journal_state.pending_deploy() is not None:
-                    resume_swap(
-                        runtime, swap_engine, journal_state, deploy_spec.strategy
+                known = set(runtime.known_cases)
+                plans = {c: p for c, p in plans.items() if c not in known}
+                recovery = {
+                    "journal": arguments.journal,
+                    "adopted_or_resumed": len(known),
+                    "resubmitted": len(plans),
+                }
+                if arguments.format == "text":
+                    print(
+                        "recovered journal %s: %d case(s) adopted or resumed, "
+                        "%d resubmitted" % (arguments.journal, len(known), len(plans))
                     )
-                elif journal_state.current_version() < deploy_spec.new.version:
-                    # The crash hit before the swap began: re-arm it.
-                    swap_armed = True
-        else:
-            runtime = Runtime(
-                program,
-                journal_path=arguments.journal,
-                crash_after=arguments.crash_after,
-                **options,
-            )
-            swap_armed = deploy_spec is not None
-        try:
-            # the crash point may land on an admit record, not just mid-run
-            runtime.submit_batch(plans, bindings=bindings)
-            if swap_armed:
-                from repro.deploy import execute_swap
-
-                runtime.run_until_completed(deploy_spec.after)
-                execute_swap(runtime, swap_engine, deploy_spec.strategy)
-            report = runtime.run()
-        except SimulatedCrash as crash:
-            print(
-                "simulated crash after journal record %d; recover with: %s"
-                % (crash.records_written, hint)
-            )
-            return 3
-        finally:
-            runtime.close()
-            _flush_obs(obs, arguments)
+            else:
+                runtime = Runtime(
+                    program,
+                    journal_path=arguments.journal,
+                    crash_after=arguments.crash_after,
+                    **options,
+                )
+            try:
+                if deploy_spec is not None and arguments.recover:
+                    deploy_spec.converge(runtime, state)
+                # the crash point may land on an admit record, not just mid-run
+                runtime.submit_batch(plans, bindings=bindings)
+                if deploy_spec is not None and deploy_spec.armed(runtime):
+                    runtime.run_until_completed(deploy_spec.after)
+                    deploy_spec.apply(runtime)
+                report = runtime.run()
+            finally:
+                runtime.close()
+                _flush_obs(obs, arguments)
+    except SimulatedCrash as crash:
+        print(
+            "simulated crash after journal record %d; recover with: %s"
+            % (crash.records_written, _recover_hint(arguments))
+        )
+        return 3
 
     import dataclasses
 
@@ -968,15 +941,16 @@ def _run_deploy_command(arguments) -> int:
     set incrementally, sweep the strand gate (DEP005) and report.  With
     ``--from JOURNAL`` the journal's in-flight cases are additionally
     classified into a migration plan; unless ``--dry-run``, the swap is
-    applied and the run is driven to completion on the new version.
+    applied (or, when the journal holds a crashed swap, rolled forward)
+    and the run is driven to completion on the new version.  ``--dry-run``
+    refuses a journal with a crashed swap: rolling it forward writes.
     """
     from repro.deploy import (
-        MigrationEngine,
+        PoolSwap,
         ProgramRegistry,
-        execute_swap,
         load_edits,
+        plan_swap,
         preflight,
-        resume_swap,
     )
     from repro.lint import Severity, render
     from repro.lint.diagnostics import LintReport
@@ -1049,22 +1023,29 @@ def _run_deploy_command(arguments) -> int:
         except (OSError, ValueError) as error:
             print("cannot read journal: %s" % error, file=sys.stderr)
             return 2
-        engine = MigrationEngine(old, new, state_limit=arguments.state_limit)
+        pending = state.pending_deploy()
+        if arguments.dry_run and pending is not None:
+            print(
+                "--dry-run: %s holds a pending v%d -> v%d swap (a begin "
+                "without its commit); recovering it writes the journal, so "
+                "run without --dry-run"
+                % (arguments.journal, int(pending["from"]), int(pending["to"])),
+                file=sys.stderr,
+            )
+            return 2
+        swap = PoolSwap(
+            old, new, strategy=arguments.strategy, state_limit=arguments.state_limit
+        )
         runtime = Runtime.recover(
-            arguments.journal,
-            old.program,
-            programs=registry.programs(),
-            state=state,
+            arguments.journal, old.program, programs=swap.programs(), state=state
         )
         try:
-            if state.pending_deploy() is not None:
-                plan = resume_swap(runtime, engine, state, arguments.strategy)
+            if arguments.dry_run:
+                plan = plan_swap(runtime, swap.engine(), swap.strategy, state=state)
             else:
-                plan = execute_swap(
-                    runtime, engine, arguments.strategy, dry_run=arguments.dry_run
-                )
-            if plan is not None and plan.applied and not arguments.dry_run:
-                runtime.run()
+                plan = swap.converge(runtime, state, swap_now=True)
+                if plan is not None:
+                    runtime.run()
         finally:
             runtime.close()
         if plan is not None:
@@ -1191,7 +1172,7 @@ def _run_discover_command(arguments) -> int:
     from repro.discover.ingest import load_log
     from repro.discover.mine import MinerConfig, mine
     from repro.discover.stats import LogStatistics
-    from repro.lint import Baseline, LintConfig, LintContext, render, run_lint
+    from repro.lint import LintContext, render, run_lint
 
     obs = _make_obs(arguments)
     try:
@@ -1209,13 +1190,9 @@ def _run_discover_command(arguments) -> int:
     except ValueError as error:
         print("invalid thresholds: %s" % error, file=sys.stderr)
         return 2
-    baseline = None
-    if arguments.baseline:
-        try:
-            baseline = Baseline.load(arguments.baseline)
-        except (OSError, ValueError) as error:
-            print("cannot load baseline: %s" % error, file=sys.stderr)
-            return 2
+    lint_config = _rule_config(arguments)
+    if lint_config is None:
+        return 2
 
     stats = LogStatistics.from_log(log, obs=obs)
     discovery = mine(stats, config=config, obs=obs)
@@ -1242,12 +1219,6 @@ def _run_discover_command(arguments) -> int:
 
     _flush_obs(obs, arguments)
 
-    lint_config = LintConfig.from_codes(
-        select=_split_codes(arguments.select) or ["DIS"],
-        ignore=_split_codes(arguments.ignore),
-        fail_on=arguments.fail_on,
-        baseline=baseline,
-    )
     context = LintContext.from_constraints(
         discovery.constraint_set(), process=process
     )
@@ -1292,9 +1263,48 @@ def main(argv: Optional[List[str]] = None) -> int:
         sub.add_argument(
             "--workload",
             default="purchasing",
-            choices=["purchasing", "deployment", "loan", "travel", "insurance", "orders"],
+            choices=WORKLOADS,
         )
         return sub
+
+    def add_workload(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument(
+            "workload", nargs="?", default="purchasing", choices=WORKLOADS
+        )
+
+    def add_rule_flags(
+        sub: argparse.ArgumentParser, fail_on: str, select: Tuple[str, ...] = ()
+    ) -> None:
+        """The ``--select/--ignore/--fail-on/--baseline`` group read by
+        :func:`_rule_config`; ``select`` is the default rule selection."""
+        sub.set_defaults(default_select=list(select))
+        sub.add_argument(
+            "--select",
+            action="append",
+            default=[],
+            metavar="CODES",
+            help="only report these rule codes or prefixes, comma-separated "
+            "(repeatable; default %s)" % (",".join(select) or "every rule"),
+        )
+        sub.add_argument(
+            "--ignore",
+            action="append",
+            default=[],
+            metavar="CODES",
+            help="skip these rule codes or prefixes (repeatable)",
+        )
+        sub.add_argument(
+            "--fail-on",
+            default=fail_on,
+            choices=["info", "warning", "error"],
+            help="exit 1 when any finding is at or above this severity",
+        )
+        sub.add_argument(
+            "--baseline",
+            default=None,
+            metavar="PATH",
+            help="suppress findings recorded in this baseline file",
+        )
 
     def add_obs_flags(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
@@ -1416,42 +1426,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     lint = subparsers.add_parser(
         "lint", help="run the static analyzer (races, protocol, redundancy)"
     )
-    lint.add_argument(
-        "workload",
-        nargs="?",
-        default="purchasing",
-        choices=["purchasing", "deployment", "loan", "travel", "insurance", "orders"],
-    )
+    add_workload(lint)
     lint.add_argument(
         "--format", default="text", choices=["text", "json", "sarif"]
     )
-    lint.add_argument(
-        "--select",
-        action="append",
-        default=[],
-        metavar="CODES",
-        help="only run these rule codes or prefixes, comma-separated "
-        "(repeatable); e.g. --select SYNC001,SVC",
-    )
-    lint.add_argument(
-        "--ignore",
-        action="append",
-        default=[],
-        metavar="CODES",
-        help="skip these rule codes or prefixes (repeatable)",
-    )
-    lint.add_argument(
-        "--fail-on",
-        default="error",
-        choices=["info", "warning", "error"],
-        help="exit 1 when any finding is at or above this severity",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="suppress findings recorded in this baseline file",
-    )
+    add_rule_flags(lint, "error")
     lint.add_argument(
         "--write-baseline",
         default=None,
@@ -1467,12 +1446,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     def add_conformance(name: str, help_text: str) -> argparse.ArgumentParser:
         sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument(
-            "workload",
-            nargs="?",
-            default="purchasing",
-            choices=["purchasing", "deployment", "loan", "travel", "insurance", "orders"],
-        )
+        add_workload(sub)
         sub.add_argument(
             "--set",
             default="minimal",
@@ -1502,11 +1476,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     replay_cmd.add_argument(
         "--format", default="text", choices=["text", "json", "sarif"]
-    )
-    replay_cmd.add_argument(
-        "--naive",
-        action="store_true",
-        help="use the full-scan checker instead of the compiled watcher index",
     )
     replay_cmd.add_argument(
         "--compare",
@@ -1659,12 +1628,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="plan/apply a zero-downtime constraint hot swap: incremental "
         "re-minimization, strand-gate pre-flight, live case migration",
     )
-    deploy_cmd.add_argument(
-        "workload",
-        nargs="?",
-        default="purchasing",
-        choices=["purchasing", "deployment", "loan", "travel", "insurance", "orders"],
-    )
+    add_workload(deploy_cmd)
     deploy_cmd.add_argument(
         "--to", required=True, metavar="EDITS.json",
         help="constraint edit batch to deploy: "
@@ -1710,12 +1674,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="symbolically verify the constraint program (deadlock-freedom, "
         "dead activities, unreachable branches, inert constraints)",
     )
-    verify_cmd.add_argument(
-        "workload",
-        nargs="?",
-        default="purchasing",
-        choices=["purchasing", "deployment", "loan", "travel", "insurance", "orders"],
-    )
+    add_workload(verify_cmd)
     verify_cmd.add_argument(
         "--set",
         default="minimal",
@@ -1725,32 +1684,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     verify_cmd.add_argument(
         "--format", default="text", choices=["text", "json", "sarif"]
     )
-    verify_cmd.add_argument(
-        "--select",
-        action="append",
-        default=[],
-        metavar="CODES",
-        help="rule codes or prefixes to report (default VER)",
-    )
-    verify_cmd.add_argument(
-        "--ignore",
-        action="append",
-        default=[],
-        metavar="CODES",
-        help="rule codes or prefixes to skip (repeatable)",
-    )
-    verify_cmd.add_argument(
-        "--fail-on",
-        default="error",
-        choices=["info", "warning", "error"],
-        help="exit 1 when any finding is at or above this severity",
-    )
-    verify_cmd.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="suppress findings recorded in this baseline file",
-    )
+    add_rule_flags(verify_cmd, "error", ("VER",))
     verify_cmd.add_argument(
         "--state-limit",
         type=int,
@@ -1802,7 +1736,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     discover_cmd.add_argument(
         "--reference",
         default=None,
-        choices=["purchasing", "deployment", "loan", "travel", "insurance", "orders"],
+        choices=WORKLOADS,
         help="score the mined set against this workload's declared "
         "dependencies (entailment-level precision/recall, transitive "
         "equivalence, end-to-end verification; divergences are DIS005)",
@@ -1827,32 +1761,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     discover_cmd.add_argument(
         "--report-format", default="text", choices=["text", "json", "sarif"]
     )
-    discover_cmd.add_argument(
-        "--select",
-        action="append",
-        default=[],
-        metavar="CODES",
-        help="rule codes or prefixes to report (default DIS)",
-    )
-    discover_cmd.add_argument(
-        "--ignore",
-        action="append",
-        default=[],
-        metavar="CODES",
-        help="rule codes or prefixes to skip (repeatable)",
-    )
-    discover_cmd.add_argument(
-        "--fail-on",
-        default="warning",
-        choices=["info", "warning", "error"],
-        help="exit 1 when any finding is at or above this severity",
-    )
-    discover_cmd.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="suppress findings recorded in this baseline file",
-    )
+    add_rule_flags(discover_cmd, "warning", ("DIS",))
     add_obs_flags(discover_cmd)
 
     petri_cmd = subparsers.add_parser(
@@ -1860,12 +1769,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="translate the constraint set to a Petri net and report "
         "soundness, terminal markings and witness paths",
     )
-    petri_cmd.add_argument(
-        "workload",
-        nargs="?",
-        default="purchasing",
-        choices=["purchasing", "deployment", "loan", "travel", "insurance", "orders"],
-    )
+    add_workload(petri_cmd)
     petri_cmd.add_argument(
         "--set",
         default="minimal",

@@ -5,8 +5,6 @@ dynamically-enforced fine-grained state constraints and ``Exclusive``
 relations) into a :class:`MonitorProgram` — a per-activity **watcher
 index**: every incoming event consults only the constraints incident to
 its activity, so the per-event cost is ``O(degree)``, not ``O(|SC|)``.
-The unindexed full-scan strategy is kept (``indexed=False``) as the
-baseline the conformance benchmark compares against.
 
 :class:`ConformanceMonitor` is the streaming state machine.  Each
 obligation moves through an explicit lifecycle:
@@ -322,9 +320,6 @@ class _CaseState:
     def terminal(self, activity: str) -> bool:
         return activity in self.finished or activity in self.skipped
 
-    def pending_count(self) -> int:
-        return sum(len(obligations) for obligations in self.pending.values())
-
 
 class ConformanceMonitor:
     """Streaming conformance checker over a :class:`MonitorProgram`.
@@ -333,19 +328,16 @@ class ConformanceMonitor:
     online alerting); everything is also accumulated on ``diagnostics``.
     ``end_case``/``finish`` close cases and emit ``CONF007`` residue.
 
-    ``indexed=False`` swaps the watcher index for a full scan of every
-    watched constraint on every event — the naive ``O(|SC|)`` baseline.
-    ``checks`` counts constraint inspections under either strategy.
+    ``checks`` counts constraint inspections: the watchers each event
+    consults plus the parked obligations it resolves.
     """
 
     def __init__(
         self,
         program: MonitorProgram,
-        indexed: bool = True,
         obs: Optional["Observability"] = None,
     ) -> None:
         self._program = program
-        self._indexed = indexed
         self._cases: Dict[str, _CaseState] = {}
         self.checks = 0
         self.events_fed = 0
@@ -362,48 +354,29 @@ class ConformanceMonitor:
                 "Conditional obligations parked awaiting a guard resolution.",
             )
 
-    # -- lookup helpers (indexed vs full scan) -----------------------------
+    # -- watcher-index lookups (each counts its inspections) --------------
 
     def _incoming_for(self, activity: str) -> Tuple[WatchedConstraint, ...]:
-        if self._indexed:
-            result = self._program.incoming.get(activity, ())
-            self.checks += len(result)
-            return result
-        self.checks += len(self._program.constraints)
-        return tuple(c for c in self._program.constraints if c.target == activity)
+        result = self._program.incoming.get(activity, ())
+        self.checks += len(result)
+        return result
 
     def _fine_for(self, activity: str, on_finish: bool) -> Tuple[WatchedFineGrained, ...]:
-        if self._indexed:
-            index = (
-                self._program.fine_on_finish if on_finish else self._program.fine_on_start
-            )
-            result = index.get(activity, ())
-            self.checks += len(result)
-            return result
-        self.checks += len(self._program.fine_grained)
-        return tuple(
-            f
-            for f in self._program.fine_grained
-            if f.right == activity and f.right_triggers_on_finish == on_finish
+        index = (
+            self._program.fine_on_finish if on_finish else self._program.fine_on_start
         )
+        result = index.get(activity, ())
+        self.checks += len(result)
+        return result
 
     def _exclusives_for(self, activity: str) -> Tuple[WatchedExclusive, ...]:
-        if self._indexed:
-            result = self._program.exclusive_index.get(activity, ())
-            self.checks += len(result)
-            return result
-        self.checks += len(self._program.exclusives)
-        return tuple(
-            x for x in self._program.exclusives if activity in (x.left, x.right)
-        )
+        result = self._program.exclusive_index.get(activity, ())
+        self.checks += len(result)
+        return result
 
     def _take_pending(self, state: _CaseState, source: str) -> List[_Obligation]:
-        if self._indexed:
-            obligations = state.pending.pop(source, [])
-            self.checks += len(obligations)
-            return obligations
-        self.checks += state.pending_count()
         obligations = state.pending.pop(source, [])
+        self.checks += len(obligations)
         return obligations
 
     # -- public API --------------------------------------------------------

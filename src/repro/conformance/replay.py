@@ -149,7 +149,6 @@ class ReplayReport:
 def replay(
     log: EventLog,
     program: MonitorProgram,
-    indexed: bool = True,
     obs=None,
 ) -> ReplayReport:
     """Replay ``log`` against ``program`` and aggregate the outcome.
@@ -157,7 +156,7 @@ def replay(
     ``obs`` (an :class:`~repro.obs.Observability`) wraps the replay in a
     ``conformance.replay`` span and publishes the monitor's counters.
     """
-    monitor = ConformanceMonitor(program, indexed=indexed, obs=obs)
+    monitor = ConformanceMonitor(program, obs=obs)
     if obs is not None:
         with obs.tracer.span(
             "conformance.replay", events=len(log), constraints=program.size

@@ -53,6 +53,7 @@ from repro.lint.diagnostics import Diagnostic, Severity, SourceLocation
 from repro.runtime.coordinator import Runtime
 from repro.runtime.instance import CaseStatus
 from repro.runtime.journal import JournalState, read_journal
+from repro.runtime.program import ConstraintProgram
 from repro.verify.space import DEFAULT_STATE_LIMIT, StateSpace
 from repro.verify.strand import StrandReport, migration_strands, would_strand
 
@@ -70,15 +71,19 @@ STRATEGIES = (STRATEGY_DRAIN, STRATEGY_UPGRADE, STRATEGY_REJECT)
 
 @dataclass(frozen=True)
 class PoolSwap:
-    """Deploy spec a :class:`~repro.runtime.workers.WorkerPool` arms at
-    construction.
+    """A hot-swap spec and its driver: the only code that arms, converges
+    and applies a swap.
 
-    Passed before the pool forks so every worker process inherits the
-    compiled old/new programs by memory, not by pickling.  ``after`` is
-    the per-worker pause target: each worker stops at the first scheduling
-    barrier once that many of *its own* cases have finished, the pool
-    broadcasts the swap once every worker is paused, and all workers flip
-    versions in the same exchange round.
+    Both serving paths drive a swap through this spec: the in-process
+    ``dscweaver serve`` runtime and each
+    :class:`~repro.runtime.workers.WorkerPool` worker (armed at pool
+    construction, before the fork, so worker processes inherit the
+    compiled old/new programs by memory, not by pickling).  ``dscweaver
+    deploy --from`` converges a journal through it too.  ``after`` is the
+    pause target: the runtime stops at the first scheduling barrier once
+    that many of *its own* cases have finished, then :meth:`apply` runs
+    (a pool broadcasts the swap once every worker is paused, so all
+    workers flip versions in the same exchange round).
     """
 
     old: ProgramVersion
@@ -86,6 +91,48 @@ class PoolSwap:
     strategy: str = STRATEGY_UPGRADE
     after: int = 0
     state_limit: int = DEFAULT_STATE_LIMIT
+
+    def programs(self) -> Dict[int, ConstraintProgram]:
+        """``version -> program`` a swapping runtime must be built with."""
+        return {
+            self.old.version: self.old.program,
+            self.new.version: self.new.program,
+        }
+
+    def armed(self, runtime: Runtime) -> bool:
+        """True while the swap has not reached ``runtime`` yet."""
+        return runtime.version != self.new.version
+
+    def apply(self, runtime: Runtime) -> MigrationPlan:
+        """Classify and migrate every resident case at the current barrier."""
+        return execute_swap(runtime, self.engine(), self.strategy)
+
+    def converge(
+        self, runtime: Runtime, state: JournalState, swap_now: bool = False
+    ) -> Optional[MigrationPlan]:
+        """Bring a runtime recovered from ``state`` to the swap's version.
+
+        ``runtime`` must have been recovered with ``programs=``
+        :meth:`programs`.  A committed swap needs nothing (recovery
+        adopted the new version); a ``begin`` without its ``commit`` rolls
+        forward (:func:`resume_swap`); ``swap_now`` swaps a journal the
+        crash hit before its ``begin`` (a pool sets it when any sibling
+        segment began).  Otherwise the swap stays :meth:`armed` and the
+        caller applies it at its pause barrier.  Returns the plan this
+        call applied, else ``None``.
+        """
+        if state.current_version() >= self.new.version:
+            return None
+        if state.pending_deploy() is not None:
+            return resume_swap(runtime, self.engine(), state, self.strategy)
+        if swap_now:
+            return self.apply(runtime)
+        return None
+
+    def engine(self) -> MigrationEngine:
+        """The swap's case classifier (one per swap: it owns the new
+        program's state space)."""
+        return MigrationEngine(self.old, self.new, state_limit=self.state_limit)
 
 
 @dataclass(frozen=True)
@@ -380,25 +427,36 @@ def plan_swap(
         strategy=strategy,
     )
     for case in sorted(runtime.resident_cases()):
-        journaled = state.cases.get(case)
-        events = tuple(journaled.events) if journaled is not None else ()
-        classification, reasons, diagnostics = engine.classify(runtime, case, events)
-        action = _action_for(classification, strategy)
-        plan.decisions.append(
-            CaseDecision(
-                case=case,
-                classification=classification,
-                action=action,
-                version=(
-                    engine.new.version
-                    if action == CLASS_UPGRADE
-                    else (journaled.version if journaled is not None else 1)
-                ),
-                reasons=reasons,
-            )
-        )
-        plan.diagnostics.extend(diagnostics)
+        _decide(runtime, engine, state, plan, case)
     return plan
+
+
+def _decide(
+    runtime: Runtime,
+    engine: MigrationEngine,
+    state: JournalState,
+    plan: MigrationPlan,
+    case: str,
+) -> CaseDecision:
+    """Classify one resident case; record its decision and findings on ``plan``."""
+    journaled = state.cases.get(case)
+    events = tuple(journaled.events) if journaled is not None else ()
+    classification, reasons, diagnostics = engine.classify(runtime, case, events)
+    action = _action_for(classification, plan.strategy)
+    decision = CaseDecision(
+        case=case,
+        classification=classification,
+        action=action,
+        version=(
+            engine.new.version
+            if action == CLASS_UPGRADE
+            else (journaled.version if journaled is not None else 1)
+        ),
+        reasons=reasons,
+    )
+    plan.decisions.append(decision)
+    plan.diagnostics.extend(diagnostics)
+    return decision
 
 
 def _apply_decision(
@@ -602,26 +660,9 @@ def resume_swap(
             runtime.swap_rejected += 1
 
     for case in sorted(resident):
-        if case in assigned:
-            continue
-        journaled = state.cases.get(case)
-        events = tuple(journaled.events) if journaled is not None else ()
-        classification, reasons, diagnostics = engine.classify(runtime, case, events)
-        action = _action_for(classification, strategy)
-        decision = CaseDecision(
-            case=case,
-            classification=classification,
-            action=action,
-            version=(
-                engine.new.version
-                if action == CLASS_UPGRADE
-                else (journaled.version if journaled is not None else 1)
-            ),
-            reasons=reasons,
-        )
-        plan.decisions.append(decision)
-        plan.diagnostics.extend(diagnostics)
-        _apply_decision(runtime, plan, decision, state, now)
+        if case not in assigned:
+            decision = _decide(runtime, engine, state, plan, case)
+            _apply_decision(runtime, plan, decision, state, now)
 
     journal.dep_commit(engine.new.version, now)
     runtime.activate_version(engine.new.version)

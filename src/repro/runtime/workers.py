@@ -52,18 +52,20 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Collection, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.lint.diagnostics import Diagnostic
 from repro.objects.model import ObjectBinding, ObjectSpec
 from repro.runtime.coordinator import Runtime, RuntimeReport
-from repro.runtime.journal import SimulatedCrash, read_journal
+from repro.runtime.journal import JournalState, SimulatedCrash, read_journal
 from repro.runtime.metrics import RuntimeMetrics, latency_quantiles
 from repro.runtime.program import ConstraintProgram
 from repro.runtime.retry import RetryPolicies
 from repro.runtime.store import shard_index
+
+if TYPE_CHECKING:
+    from repro.deploy.migrate import PoolSwap
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "dscweaver-worker-journal/1"
@@ -122,25 +124,6 @@ def read_manifest(journal_dir: str) -> Dict[str, Any]:
     return payload
 
 
-@dataclass
-class _WorkerOptions:
-    """Everything one shard worker needs to build its Runtime."""
-
-    index: int
-    journal_path: Optional[str]
-    crash_after: Optional[int]
-    shards: int
-    batch: int
-    flush_every: int
-    co_shard: bool
-    seed: int
-    policies: Optional[RetryPolicies]
-    #: armed hot-swap spec (:class:`repro.deploy.migrate.PoolSwap`), or
-    #: None.  Set at construction, before any fork, so worker processes
-    #: inherit the compiled old/new programs by memory.
-    deploy: Optional[object] = None
-
-
 class _ShardWorker:
     """The per-worker state machine; identical in-process and forked.
 
@@ -167,15 +150,19 @@ class _ShardWorker:
     then only accepts ``("stop",)``.
     """
 
-    def __init__(self, program: ConstraintProgram, spec: Optional[ObjectSpec],
-                 options: _WorkerOptions, recovering: bool = False) -> None:
+    def __init__(self, program: ConstraintProgram, runtime_kwargs: Dict[str, Any],
+                 journal_path: Optional[str], crash_after: Optional[int],
+                 deploy: Optional[PoolSwap], recovering: bool = False) -> None:
         self._program = program
-        self._spec = spec
-        self._options = options
+        self._runtime_kwargs = runtime_kwargs
+        self._journal_path = journal_path
+        self._crash_after = crash_after
+        #: armed hot swap, or None; set before any fork, so worker
+        #: processes inherit the compiled old/new programs by memory.
+        self._deploy = deploy
         self._recovering = recovering
         self._runtime: Optional[Runtime] = None
-        self._state = None  # parsed JournalState in recover mode
-        self._swapped = options.deploy is None
+        self._state: Optional[JournalState] = None  # parsed in recover mode
 
     def handle(self, command: Tuple) -> Tuple:
         kind = command[0]
@@ -206,14 +193,14 @@ class _ShardWorker:
         """Parse this worker's journal segment; report what other workers
         need — admit bindings (index seeding), obligation records and the
         journaled case ids (so the pool can resubmit only unknown cases)."""
-        assert self._options.journal_path is not None
-        self._state = read_journal(self._options.journal_path)
+        assert self._journal_path is not None
+        self._state = read_journal(self._journal_path)
         bindings = {
             journaled.case: dict(journaled.binding)
             for journaled in self._state.cases.values()
             if journaled.binding is not None
         }
-        deploy = self._options.deploy
+        deploy = self._deploy
         begun = self._state.pending_deploy() is not None or (
             deploy is not None
             and self._state.current_version() >= deploy.new.version
@@ -229,41 +216,22 @@ class _ShardWorker:
     # -- rounds ---------------------------------------------------------------
 
     def _build(self) -> Runtime:
-        options = self._options
-        kwargs = dict(
-            shards=options.shards,
-            batch=options.batch,
-            flush_every=options.flush_every,
-            co_shard=options.co_shard,
-            seed=options.seed,
-            policies=options.policies,
-            objects=self._spec,
-            external_gates=True,
-        )
-        deploy = options.deploy
-        if deploy is not None:
-            kwargs["programs"] = {
-                deploy.old.version: deploy.old.program,
-                deploy.new.version: deploy.new.program,
-            }
-            kwargs["version"] = deploy.old.version
         if self._recovering:
-            assert options.journal_path is not None
-            if deploy is not None:
-                # Recovery must trust the journal, not the pre-swap
-                # default, for the serving version of this segment.
-                kwargs.pop("version")
+            # Recovery trusts the journal for this segment's serving version.
+            assert self._journal_path is not None
             return Runtime.recover(
-                options.journal_path,
+                self._journal_path,
                 self._program,
-                crash_after=options.crash_after,
                 state=self._state,
-                **kwargs,
+                **self._runtime_kwargs,
             )
+        kwargs = self._runtime_kwargs
+        if self._deploy is not None:
+            kwargs = dict(kwargs, version=self._deploy.old.version)
         return Runtime(
             self._program,
-            journal_path=options.journal_path,
-            crash_after=options.crash_after,
+            journal_path=self._journal_path,
+            crash_after=self._crash_after,
             **kwargs,
         )
 
@@ -271,8 +239,12 @@ class _ShardWorker:
                swap_now: bool = False) -> Tuple:
         try:
             self._runtime = self._build()
-            if self._recovering and self._options.deploy is not None:
-                self._recover_swap(swap_now)
+            if self._recovering and self._deploy is not None:
+                # Any sibling segment with a ``begin`` means the crashed run
+                # was mid-swap, so every worker converges before any case
+                # resumes (see PoolSwap.converge).
+                assert self._state is not None
+                self._deploy.converge(self._runtime, self._state, swap_now)
             self._runtime.seed_foreign_bindings(
                 {
                     case: ObjectBinding.from_dict(payload)
@@ -292,37 +264,6 @@ class _ShardWorker:
         except SimulatedCrash as crash:
             return ("crashed", crash.records_written)
 
-    def _recover_swap(self, swap_now: bool) -> None:
-        """Converge this segment's version state at recovery start.
-
-        Any sibling segment with a ``begin`` means the crashed run was
-        mid-swap, so *every* worker completes the swap before any case
-        resumes: segments with a pending ``begin`` roll forward
-        (:func:`~repro.deploy.migrate.resume_swap`), segments the crash
-        hit before their ``begin`` swap from scratch, and segments whose
-        ``commit`` survived only re-register the new program.
-        """
-        from repro.deploy.migrate import MigrationEngine, execute_swap, resume_swap
-
-        spec = self._options.deploy
-        runtime = self._runtime
-        state = self._state
-        assert spec is not None and runtime is not None and state is not None
-        if state.current_version() >= spec.new.version:
-            # Committed before the crash; recover() adopted the version.
-            runtime.register_program(spec.new.version, spec.new.program)
-            self._swapped = True
-            return
-        engine = MigrationEngine(spec.old, spec.new, state_limit=spec.state_limit)
-        if state.pending_deploy() is not None:
-            resume_swap(runtime, engine, state, spec.strategy)
-            self._swapped = True
-        elif swap_now:
-            execute_swap(runtime, engine, spec.strategy)
-            self._swapped = True
-        # else: no segment begun — the swap is still armed and will run
-        # at the pause barrier like an uncrashed serve.
-
     def _run(self, apply_records=None, finalize: bool = False) -> Tuple:
         runtime = self._runtime
         assert runtime is not None
@@ -337,18 +278,12 @@ class _ShardWorker:
 
     def _swap(self) -> Tuple:
         """Apply the armed hot swap at the pool's exchange barrier."""
-        from repro.deploy.migrate import MigrationEngine, execute_swap
-
-        spec = self._options.deploy
+        deploy = self._deploy
         runtime = self._runtime
-        assert runtime is not None
+        assert deploy is not None and runtime is not None
         try:
-            if spec is not None and not self._swapped:
-                engine = MigrationEngine(
-                    spec.old, spec.new, state_limit=spec.state_limit
-                )
-                execute_swap(runtime, engine, spec.strategy)
-                self._swapped = True
+            if deploy.armed(runtime):
+                deploy.apply(runtime)
             return self._round()
         except SimulatedCrash as crash:
             return ("crashed", crash.records_written)
@@ -356,12 +291,11 @@ class _ShardWorker:
     def _round(self) -> Tuple:
         runtime = self._runtime
         assert runtime is not None
-        if not self._swapped:
-            # Armed swap: pause at the scheduling barrier once the local
-            # target is reached (or the store drains) and wait for the
-            # pool to broadcast ("swap",).
-            deploy = self._options.deploy
-            assert deploy is not None
+        deploy = self._deploy
+        if deploy is not None and deploy.armed(runtime):
+            # Pause at the scheduling barrier once the local target is
+            # reached (or the store drains) and wait for the pool to
+            # broadcast ("swap",).
             runtime.run_until_completed(deploy.after)
             return ("round", False, runtime.take_gate_outbox(), True)
         blocked = runtime.run_until_blocked()
@@ -470,7 +404,7 @@ class WorkerPool:
         seed: int = 0,
         policies: Optional[RetryPolicies] = None,
         processes: bool = True,
-        deploy: Optional[object] = None,
+        deploy: Optional[PoolSwap] = None,
     ) -> None:
         if workers < 1:
             raise WorkerPoolError("workers must be at least 1")
@@ -486,16 +420,22 @@ class WorkerPool:
         self._program = program
         self._workers = workers
         self._journal_dir = journal_dir
-        self._spec = objects if objects else None
-        self._co_shard = co_shard
-        self._flush_every = flush_every
         self._crash_after = crash_after
-        self._shards_per_worker = shards_per_worker
-        self._batch = batch
-        self._seed = seed
-        self._policies = policies
         self._processes = processes
         self._deploy = deploy
+        #: keyword arguments of every worker's Runtime.
+        self._runtime_kwargs: Dict[str, Any] = dict(
+            shards=shards_per_worker,
+            batch=batch,
+            flush_every=flush_every,
+            co_shard=co_shard,
+            seed=seed,
+            policies=policies,
+            objects=objects,
+            external_gates=True,
+        )
+        if deploy is not None:
+            self._runtime_kwargs["programs"] = deploy.programs()
 
     # -- public one-shot entry points ----------------------------------------
 
@@ -509,42 +449,31 @@ class WorkerPool:
         if self._journal_dir is not None:
             os.makedirs(self._journal_dir, exist_ok=True)
             write_manifest(
-                self._journal_dir, self._workers, self._co_shard, self._flush_every
+                self._journal_dir,
+                self._workers,
+                self._runtime_kwargs["co_shard"],
+                self._runtime_kwargs["flush_every"],
             )
-        per_worker_plans: List[Dict[str, Dict[str, str]]] = [
-            {} for _ in range(self._workers)
-        ]
-        per_worker_bindings: List[Dict[str, Dict[str, Any]]] = [
-            {} for _ in range(self._workers)
-        ]
+        placed = self._place(plans, bindings)
         all_bindings = {
             case: binding.to_dict() for case, binding in bindings.items()
         }
-        for case, outcomes in plans.items():
-            index = worker_of(
-                case, bindings.get(case), self._workers, self._co_shard
-            )
-            per_worker_plans[index][case] = dict(outcomes)
-            if case in all_bindings:
-                per_worker_bindings[index][case] = all_bindings[case]
         handles = self._spawn(recovering=False)
-        starts = []
-        for index in range(self._workers):
-            foreign = {
-                case: payload
-                for case, payload in all_bindings.items()
-                if case not in per_worker_bindings[index]
-            }
-            starts.append(
-                (
-                    "start",
-                    per_worker_plans[index],
-                    per_worker_bindings[index],
-                    foreign,
-                    [],
-                    False,
-                )
+        starts = [
+            (
+                "start",
+                worker_plans,
+                worker_bindings,
+                {
+                    case: payload
+                    for case, payload in all_bindings.items()
+                    if case not in worker_bindings
+                },
+                [],
+                False,
             )
+            for worker_plans, worker_bindings in placed
+        ]
         return self._drive(handles, starts)
 
     @classmethod
@@ -595,27 +524,12 @@ class WorkerPool:
             all_records.append(reply[2])
             known.update(reply[3])
             any_begun = any_begun or bool(reply[4])
-        bindings = dict(bindings or {})
-        fresh_plans: List[Dict[str, Dict[str, str]]] = [
-            {} for _ in range(pool._workers)
-        ]
-        fresh_bindings: List[Dict[str, Dict[str, Any]]] = [
-            {} for _ in range(pool._workers)
-        ]
+        placed = pool._place(plans or {}, bindings or {}, known)
         fresh_all: Dict[str, Dict[str, Any]] = {}
-        for case, outcomes in (plans or {}).items():
-            if case in known:
-                continue
-            index = worker_of(
-                case, bindings.get(case), pool._workers, pool._co_shard
-            )
-            fresh_plans[index][case] = dict(outcomes)
-            if case in bindings:
-                payload = bindings[case].to_dict()
-                fresh_bindings[index][case] = payload
-                fresh_all[case] = payload
+        for _plans, worker_bindings in placed:
+            fresh_all.update(worker_bindings)
         starts = []
-        for index in range(pool._workers):
+        for index, (worker_plans, worker_bindings) in enumerate(placed):
             foreign_bindings: Dict[str, Dict[str, Any]] = {}
             foreign_records: List[Dict[str, Any]] = []
             for other in range(pool._workers):
@@ -624,13 +538,13 @@ class WorkerPool:
                 foreign_bindings.update(all_bindings[other])
                 foreign_records.extend(all_records[other])
             for case, payload in fresh_all.items():
-                if case not in fresh_bindings[index]:
+                if case not in worker_bindings:
                     foreign_bindings[case] = payload
             starts.append(
                 (
                     "start",
-                    fresh_plans[index],
-                    fresh_bindings[index],
+                    worker_plans,
+                    worker_bindings,
                     foreign_bindings,
                     foreign_records,
                     # A crash mid-swap leaves some segments without their
@@ -643,33 +557,45 @@ class WorkerPool:
 
     # -- the bulk-synchronous exchange ----------------------------------------
 
+    def _place(
+        self,
+        plans: Mapping[str, Mapping[str, str]],
+        bindings: Mapping[str, ObjectBinding],
+        known: Collection[str] = (),
+    ) -> List[Tuple[Dict[str, Dict[str, str]], Dict[str, Dict[str, Any]]]]:
+        """Per worker, the ``(plans, binding payloads)`` of the cases it owns;
+        cases in ``known`` (already journaled) are skipped."""
+        placed: List[Tuple[Dict[str, Dict[str, str]], Dict[str, Dict[str, Any]]]] = [
+            ({}, {}) for _ in range(self._workers)
+        ]
+        for case, outcomes in plans.items():
+            if case in known:
+                continue
+            binding = bindings.get(case)
+            worker_plans, worker_bindings = placed[
+                worker_of(case, binding, self._workers, self._runtime_kwargs["co_shard"])
+            ]
+            worker_plans[case] = dict(outcomes)
+            if binding is not None:
+                worker_bindings[case] = binding.to_dict()
+        return placed
+
     def _spawn(self, recovering: bool) -> List:
-        workers = []
-        for index in range(self._workers):
-            journal_path = (
-                os.path.join(self._journal_dir, segment_name(index))
-                if self._journal_dir is not None
-                else None
+        workers = [
+            _ShardWorker(
+                self._program,
+                self._runtime_kwargs,
+                (
+                    os.path.join(self._journal_dir, segment_name(index))
+                    if self._journal_dir is not None
+                    else None
+                ),
+                self._crash_for(index, recovering),
+                self._deploy,
+                recovering=recovering,
             )
-            workers.append(
-                _ShardWorker(
-                    self._program,
-                    self._spec,
-                    _WorkerOptions(
-                        index=index,
-                        journal_path=journal_path,
-                        crash_after=self._crash_for(index, recovering),
-                        shards=self._shards_per_worker,
-                        batch=self._batch,
-                        flush_every=self._flush_every,
-                        co_shard=self._co_shard,
-                        seed=self._seed,
-                        policies=self._policies,
-                        deploy=self._deploy,
-                    ),
-                    recovering=recovering,
-                )
-            )
+            for index in range(self._workers)
+        ]
         if not self._processes:
             return [_LocalHandle(worker) for worker in workers]
         import multiprocessing

@@ -115,10 +115,12 @@ class TestReplayCommand:
             == 1
         )
 
-    def test_naive_mode_same_verdict(self, perturbed_log, capsys):
-        assert (
-            main(["replay", "purchasing", "--log", str(perturbed_log), "--naive"]) == 1
-        )
+    def test_naive_flag_exits_two(self, perturbed_log, capsys):
+        # The full-scan checker is gone; the watcher index is the only one.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replay", "purchasing", "--log", str(perturbed_log), "--naive"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --naive" in capsys.readouterr().err
 
     def test_missing_log_exits_two(self, tmp_path, capsys):
         assert main(["replay", "purchasing", "--log", str(tmp_path / "nope.jsonl")]) == 2

@@ -1,8 +1,8 @@
 """Unit tests for the compiled watcher index and the streaming monitor.
 
-Each CONF00x code gets a hand-built minimal scenario; every scenario is
-also replayed with ``indexed=False`` to pin the naive full-scan baseline
-to identical diagnostics at higher cost.
+Each CONF00x code gets a hand-built minimal scenario.  A test-local
+full-scan reference monitor (every lookup filters the full watcher lists)
+pins the compiled index to identical diagnostics at lower cost.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.conformance import (
 from repro.core.constraints import Constraint, SynchronizationConstraintSet
 from repro.dscl.ast import Exclusive, HappenBefore
 from repro.model.activity import ActivityState, StateRef
+from tests.conformance_reference import FullScanMonitor
 
 
 def small_sc() -> SynchronizationConstraintSet:
@@ -100,9 +101,13 @@ class TestCompile:
 
 class TestCleanRuns:
     @pytest.mark.parametrize("events", [CLEAN_TRUE_BRANCH, CLEAN_FALSE_BRANCH])
-    @pytest.mark.parametrize("indexed", [True, False])
-    def test_no_diagnostics(self, events, indexed):
-        monitor = ConformanceMonitor(program(), indexed=indexed)
+    @pytest.mark.parametrize("observed", [True, False])
+    def test_no_diagnostics(self, events, observed):
+        from repro.obs import Observability
+
+        monitor = ConformanceMonitor(
+            program(), obs=Observability() if observed else None
+        )
         feed_all(monitor, events)
         assert codes(monitor) == []
         assert monitor.violations_by_case == {"c1": 0}
@@ -286,8 +291,8 @@ class TestNaiveEquivalence:
         ],
     )
     def test_same_diagnostics_more_checks(self, events):
-        fast = ConformanceMonitor(program(), indexed=True)
-        slow = ConformanceMonitor(program(), indexed=False)
+        fast = ConformanceMonitor(program())
+        slow = FullScanMonitor(program())
         feed_all(fast, events)
         feed_all(slow, events)
         assert [d.message for d in fast.diagnostics] == [d.message for d in slow.diagnostics]

@@ -24,6 +24,7 @@ from repro.conformance import (
 )
 from repro.lint import Severity
 from repro.scheduler.engine import ConstraintScheduler
+from tests.conformance_reference import full_scan_replay
 
 
 @pytest.fixture(scope="module")
@@ -135,10 +136,35 @@ class TestDetection:
     def test_naive_and_indexed_agree_on_every_entry(self, setup, corpus):
         _log, minimal, _full = setup
         for perturbed_log, perturbation in corpus:
-            fast = replay(perturbed_log, minimal, indexed=True)
-            slow = replay(perturbed_log, minimal, indexed=False)
+            fast = replay(perturbed_log, minimal)
+            slow = full_scan_replay(perturbed_log, minimal)
             assert verdicts_agree(fast, slow), perturbation
             assert fast.checks <= slow.checks
+
+    def test_watcher_index_is_the_filtered_full_lists(self, setup, corpus):
+        """The index is exactly the full lists filtered by activity, so it
+        reaches the full scan's verdicts while inspecting fewer watchers."""
+        log, minimal, full = setup
+        for program in (minimal, full):
+            for activity in program.activities:
+                assert program.incoming.get(activity, ()) == tuple(
+                    c for c in program.constraints if c.target == activity
+                )
+                for on_finish, index in (
+                    (False, program.fine_on_start),
+                    (True, program.fine_on_finish),
+                ):
+                    assert index.get(activity, ()) == tuple(
+                        f for f in program.fine_grained
+                        if f.right == activity
+                        and f.right_triggers_on_finish == on_finish
+                    )
+                assert program.exclusive_index.get(activity, ()) == tuple(
+                    x for x in program.exclusives if activity in (x.left, x.right)
+                )
+            for perturbed_log, perturbation in [(log, None)] + list(corpus):
+                report = replay(perturbed_log, program)
+                assert report.checks < report.events * program.size, perturbation
 
     def test_swap_counts_a_category(self, setup):
         log, minimal, _full = setup

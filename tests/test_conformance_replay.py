@@ -25,6 +25,7 @@ from repro.conformance import (
 )
 from repro.lint import Severity, render
 from repro.scheduler.engine import ConstraintScheduler
+from tests.conformance_reference import full_scan_replay
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +79,8 @@ class TestCleanReplay:
     def test_indexed_beats_naive_with_same_outcome(
         self, purchasing_log, minimal_program
     ):
-        fast = replay(purchasing_log, minimal_program, indexed=True)
-        slow = replay(purchasing_log, minimal_program, indexed=False)
+        fast = replay(purchasing_log, minimal_program)
+        slow = full_scan_replay(purchasing_log, minimal_program)
         assert fast.checks < slow.checks
         assert [d.message for d in fast.diagnostics] == [
             d.message for d in slow.diagnostics

@@ -27,6 +27,11 @@ def _json_out(capsys):
     return json.loads(capsys.readouterr().out)
 
 
+def _segments(journal):
+    """The journal files of a serve run: one file, or a pool's segments."""
+    return sorted(journal.glob("journal.*.jsonl")) if journal.is_dir() else [journal]
+
+
 class TestDeployCommand:
     def test_preflight_only(self, edits, capsys):
         assert main(["deploy", "purchasing", "--to", edits, "--format", "json"]) == 0
@@ -92,6 +97,28 @@ class TestDeployCommand:
         state = read_journal(journal)
         assert state.current_version() == 2
         assert state.pending_deploy() is None
+
+    def test_dry_run_refuses_a_crashed_swap(self, edits, tmp_path, capsys):
+        # Leave a begin without its commit: crash inside the swap window.
+        journal = tmp_path / "journal.jsonl"
+        serve = [
+            "serve", "purchasing", "--cases", "20", "--journal", str(journal),
+            "--redeploy-after", "10", "--to", edits,
+        ]
+        assert main(serve) == 0
+        lines = journal.read_text().splitlines()
+        begin_at = next(i for i, l in enumerate(lines) if '"rt":"dep"' in l)
+        journal.unlink()
+        assert main(serve + ["--crash-after", str(begin_at + 2)]) == 3
+        capsys.readouterr()
+        before = journal.read_bytes()
+
+        assert main([
+            "deploy", "purchasing", "--to", edits, "--from", str(journal),
+            "--dry-run",
+        ]) == 2
+        assert "pending v1 -> v2 swap" in capsys.readouterr().err
+        assert journal.read_bytes() == before
 
 
 class TestServeValidation:
@@ -185,6 +212,49 @@ class TestServeHotSwap:
             f["code"] == "DEP004"
             for f in recovered["findings"]["findings"]
         )
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_crash_before_begin_rearms_the_swap(
+        self, edits, tmp_path, capsys, workers
+    ):
+        from repro.runtime.coordinator import result_from_journal
+        from repro.runtime.journal import read_journal
+
+        def final_states(journal):
+            return {
+                case: result_from_journal(journaled).final_state()
+                for path in _segments(journal)
+                for case, journaled in read_journal(str(path)).cases.items()
+            }
+
+        # A pool pauses per worker: swap after 4 of each worker's ~10 cases.
+        after = "4" if workers == "2" else "10"
+        extra = ("--workers", workers, "--redeploy-after", after)
+        clean = tmp_path / "clean"
+        assert self._serve(str(clean), edits, *extra) == 0
+        clean_deploy = _json_out(capsys)["deploy"]
+        assert sorted(set(clean_deploy["versions"].values())) == [1, 2]
+
+        # Crash at the first dep record: no segment journals its begin, so
+        # recovery must re-arm the swap rather than roll it forward.
+        begin_at = min(
+            next(i for i, line in enumerate(path.read_text().splitlines())
+                 if '"rt":"dep"' in line)
+            for path in _segments(clean)
+        )
+        crashed = tmp_path / "crashed"
+        assert self._serve(
+            str(crashed), edits, *extra, "--crash-after", str(begin_at)
+        ) == 3
+        capsys.readouterr()
+        assert not any(
+            '"rt":"dep"' in path.read_text() for path in _segments(crashed)
+        )
+
+        assert self._serve(str(crashed), edits, *extra, "--recover") == 0
+        recovered = _json_out(capsys)["deploy"]
+        assert recovered["versions"] == clean_deploy["versions"]
+        assert final_states(crashed) == final_states(clean)
 
     def test_recovery_warning_passes_fail_on_error(self, edits, tmp_path, capsys):
         clean = str(tmp_path / "clean.jsonl")
