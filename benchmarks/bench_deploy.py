@@ -27,6 +27,7 @@ import time
 
 import pytest
 
+from benchmarks.stamp import environment
 from repro.core.constraints import Constraint
 from repro.core.pipeline import DSCWeaver
 from repro.deploy import MigrationEngine, ProgramRegistry, execute_swap, resume_swap
@@ -239,6 +240,7 @@ def test_emit_bench_deploy_json(synthetic_weaves, purchasing_result, tmp_path):
             "at 10k in-flight purchasing cases, and crash-during-swap "
             "recovery depth curve."
         ),
+        "environment": environment(),
         "rebase_vs_cold": rows,
         "swap_latency": latency,
         "recovery_curve": curve,

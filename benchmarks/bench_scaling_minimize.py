@@ -22,6 +22,7 @@ import time
 
 import pytest
 
+from benchmarks.stamp import environment
 from repro.core.closure import Semantics
 from repro.core.kernel import KernelStats
 from repro.core.minimize import minimize_fast, minimize_naive
@@ -183,6 +184,7 @@ def test_emit_bench_core_json(translated_sets):
         "generated_by": (
             "benchmarks/bench_scaling_minimize.py::test_emit_bench_core_json"
         ),
+        "environment": environment(),
         "reference_timed_up_to": max(SIZES),
         "min_speedup_timed": min(r["speedup"] for r in timed),
         "sizes": rows,

@@ -22,8 +22,14 @@ reference                    kernel
 ``is_contradictory(a | b)``  ``a & conflict_of(b) != 0``
 ``normalize_facts``          :func:`antichain_insert`
 ``fact_set_covers``          :func:`closure_covers`
-``merge_complementary``      bit-parallel fixpoint on masks
+``merge_complementary``      per-target fixpoint on masks, reference order
 ===========================  =============================================
+
+The complementary merge runs its fixpoint per target: a merge changes one
+target's antichain and its veto context depends on that target alone, so
+rescanning only that antichain after each merge applies the same merges in
+the same order as the reference's whole-closure rescan (see
+:meth:`~repro.core.session.MinimizationSession._merge_complementary`).
 
 Contradiction uses per-bit *conflict masks*: when the bit for ``(g, v)``
 is interned, it is marked as conflicting with every previously interned
@@ -195,8 +201,10 @@ class Interner:
         """The bit of ``cond`` if already interned, else ``None``."""
         return self._cond_bits.get(cond)
 
-    def cond_of_bit(self, bit: int) -> Cond:
-        return self._conds[bit]
+    @property
+    def conds(self) -> List[Cond]:
+        """Every interned condition, indexed by bit (live view; do not mutate)."""
+        return self._conds
 
     def mask_of(self, annotations: Iterable[Cond]) -> int:
         """Pack an annotation set into a mask (interning as needed)."""

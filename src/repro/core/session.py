@@ -53,6 +53,7 @@ from repro.core.kernel import (
     Interner,
     KernelStats,
     MaskClosure,
+    antichain_insert,
     closure_covers,
     closure_insert,
     closure_to_facts,
@@ -251,35 +252,46 @@ class MinimizationSession:
 
         Facts ``(t, base | {(g, v)})`` over every ``v`` in ``g``'s domain
         collapse to ``(t, base)`` — provided ``g`` is certain to execute in
-        the fact's context — run to a fixpoint, rescanning after each merge
-        exactly like the reference.
+        the fact's context — run to a fixpoint.
+
+        The fixpoint is taken *per target*: a merge inserts into one
+        target's antichain and its veto context depends on that target
+        alone, so the reference's whole-closure rescan (always applying the
+        first eligible group in target, mask, bit order) performs the same
+        merge sequence as visiting each target once and rescanning only its
+        antichain after each merge.  The within-target scan order is kept
+        exactly: an antichain eviction can remove a premise of a pending
+        merge, so the result depends on which eligible group goes first.
         """
-        interner = self.interner
+        conds = self.interner.conds
         domains = self._domains
         source_guard = self._guard_mask[source]
-        changed = True
-        while changed:
-            changed = False
-            by_base: Dict[Tuple[int, int, str], Set[str]] = {}
-            for target, masks in current.items():
+        guard_mask = self._guard_mask
+        for target, masks in current.items():
+            if not masks[0]:
+                continue  # an unconditional fact: the antichain is [0]
+            context = source_guard | guard_mask[target]
+            changed = True
+            while changed:
+                changed = False
+                by_base: Dict[Tuple[int, str], Set[str]] = {}
                 for mask in masks:
                     remaining = mask
                     while remaining:
                         low = remaining & -remaining
                         remaining ^= low
-                        cond = interner.cond_of_bit(low.bit_length() - 1)
-                        by_base.setdefault(
-                            (target, mask ^ low, cond.guard), set()
-                        ).add(cond.value)
-            for (target, base, guard), values in by_base.items():
-                if values >= domains.domain(guard):
-                    required = self._guard_mask_of_name(guard)
-                    context = base | source_guard | self._guard_mask[target]
-                    if required & context != required:
-                        continue
-                    if closure_insert(current, target, base):
-                        changed = True
-                        break
+                        cond = conds[low.bit_length() - 1]
+                        by_base.setdefault((mask ^ low, cond.guard), set()).add(
+                            cond.value
+                        )
+                for (base, guard), values in by_base.items():
+                    if values >= domains.domain(guard):
+                        required = self._guard_mask_of_name(guard)
+                        if required & (base | context) != required:
+                            continue
+                        if antichain_insert(masks, base):
+                            changed = True
+                            break
         return current
 
     # -- graph maintenance -----------------------------------------------------

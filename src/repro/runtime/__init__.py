@@ -23,7 +23,7 @@ compiled constraint program:
   partitioning one case load over N shard worker processes with
   segmented journals (``dscweaver serve --workers N``).
 
-Importing the package registers the ``RT001``–``RT005`` runtime rules
+Importing the package registers the ``RT001``–``RT007`` runtime rules
 with the lint registry (see :mod:`repro.runtime.rules`).
 """
 

@@ -60,7 +60,7 @@ from repro.runtime.journal import (
 from repro.runtime.metrics import RuntimeMetrics, latency_quantiles
 from repro.runtime.program import ConstraintProgram
 from repro.runtime.retry import RetryPolicies
-from repro.runtime.rules import ADMISSION_REJECTED, RT_CODES
+from repro.runtime.rules import ADMISSION_REJECTED, RT_CODES, TORN_TAIL
 from repro.runtime.store import ShardedStore
 
 
@@ -301,9 +301,10 @@ class Runtime:
         Completed cases are adopted as-is; in-flight cases are re-admitted
         with their journaled event prefix armed for verification.  The
         journal is reopened in append mode, so the recovered run extends
-        the same file.  ``state`` passes an already-parsed journal (the
-        multi-worker pool parses each shard journal once to gather
-        cross-shard records); ``None`` reads ``journal_path``.
+        the same file, after a torn final write is cut back to the last
+        complete record (``RT007``).  ``state`` passes an already-parsed
+        journal (the multi-worker pool parses each shard journal once to
+        gather cross-shard records); ``None`` reads ``journal_path``.
         """
         if state is None:
             state = read_journal(journal_path)
@@ -322,6 +323,22 @@ class Runtime:
         )
         if span is not None:
             span.__enter__()
+        if state.torn_at is not None:
+            # Cut the torn fragment first, or the next appended record would
+            # be glued to it and the journal corrupted for good.
+            with open(journal_path, "r+b") as handle:
+                handle.truncate(state.torn_at)
+            runtime.diagnostics.append(
+                Diagnostic(
+                    code=TORN_TAIL,
+                    severity=Severity.WARNING,
+                    message="dropped a torn final write of %d byte(s) after "
+                    "record %d"
+                    % (len(state.torn_fragment.encode("utf-8")), state.records),
+                    location=SourceLocation("journal", journal_path),
+                    evidence=("fragment: %s" % state.torn_fragment[:80],),
+                )
+            )
         runtime._journal = Journal(
             journal_path,
             resume=True,

@@ -52,7 +52,10 @@ of the run.  :func:`read_journal` rebuilds the durable state: which cases
 completed (never re-run) and which were in flight, together with each
 in-flight case's event prefix and recorded guard outcomes, so the
 coordinator can re-execute them deterministically and verify the replayed
-prefix record-for-record (mismatches are ``RT003``).
+prefix record-for-record (mismatches are ``RT003``).  A real crash can
+also stop *inside* a record's append: a final line that lacks its newline
+and does not parse is such a torn write, which :func:`read_journal` drops
+and recovery cuts off the file before appending (``RT007``).
 
 ``crash_after=N`` is the fault-injection hook: the journal raises
 :class:`SimulatedCrash` immediately after durably writing its N-th
@@ -64,6 +67,7 @@ completes exactly the same set of cases as an uninterrupted one.
 from __future__ import annotations
 
 import json
+import os
 import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -93,13 +97,13 @@ class JournalError(ReproError):
 class Journal:
     """Append-only JSONL write-ahead journal.
 
-    ``resume=True`` appends to an existing journal (recovery); the default
-    truncates.  ``crash_after`` arms the fault-injection hook.
-    ``observe_flush`` is the observability hook: when set, it is called
-    with the wall-clock seconds each flushed batch took to serialize and
-    flush (the coordinator feeds it a
-    ``repro_runtime_journal_flush_seconds`` histogram); ``None`` keeps the
-    write path clock-free.
+    ``resume=True`` appends to an existing journal (recovery), first ending
+    a last line that lost its newline; the default truncates.
+    ``crash_after`` arms the fault-injection hook.  ``observe_flush`` is
+    the observability hook: when set, it is called with the wall-clock
+    seconds each flushed batch took to serialize and flush (the
+    coordinator feeds it a ``repro_runtime_journal_flush_seconds``
+    histogram); ``None`` keeps the write path clock-free.
 
     ``flush_every=N`` enables group commit: records are serialized
     immediately but buffered, and the buffer is flushed once N records
@@ -128,7 +132,16 @@ class Journal:
         self._observe_flush = observe_flush
         self._flush_every = flush_every
         self._buffer: List[str] = []
+        unterminated = False
+        if resume and os.path.exists(path) and os.path.getsize(path):
+            with open(path, "rb") as handle:
+                handle.seek(-1, os.SEEK_END)
+                unterminated = handle.read(1) != b"\n"
         self._handle = open(path, "a" if resume else "w", encoding="utf-8")
+        if unterminated:
+            # A crash lost only the last record's newline: end that line
+            # before appending, or the next record would be glued to it.
+            self._handle.write("\n")
 
     def _write(self, payload: Dict[str, Any]) -> None:
         # Compact separators, no key sorting: every record type is built
@@ -290,6 +303,11 @@ class JournalState:
     #: ``dep`` control records in journal order, for swap roll-forward.
     deploys: List[Dict[str, Any]] = field(default_factory=list)
     records: int = 0
+    #: byte length of the complete records when the final line is a torn
+    #: write (no trailing newline and unparsable); ``None`` otherwise.
+    torn_at: Optional[int] = None
+    #: the dropped fragment of a torn final write.
+    torn_fragment: str = ""
 
     def in_flight(self) -> List[JournaledCase]:
         return [case for case in self.cases.values() if case.in_flight]
@@ -336,18 +354,33 @@ def read_journal(path: str, strict: bool = True) -> JournalState:
     the write-ahead artifact of a crash between journaling a record and
     applying it, then re-journaling after recovery — is dropped, first
     occurrence wins, so crash/recover journals replay and mine cleanly.
+
+    In both modes a final line that lacks its newline and does not parse
+    is a *torn write* — a crash in the middle of appending the record —
+    and is dropped: ``state.torn_at`` gives the byte length of the
+    complete records before it, which recovery truncates the file back
+    to.  An unparsable line followed by further records is corruption,
+    not a torn write, and raises :class:`JournalError`.
     """
     state = JournalState()
     seen_events = set()
     with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
+        for number, raw in enumerate(handle, start=1):
+            line = raw.strip()
             if not line:
                 continue
             try:
                 payload = json.loads(line)
             except ValueError as error:
-                raise JournalError("record %d: invalid JSON (%s)" % (number, error))
+                if raw.endswith("\n"):
+                    raise JournalError(
+                        "record %d: invalid JSON (%s)" % (number, error)
+                    )
+                # Only the last line of a file can lack its newline.
+                state.torn_fragment = raw
+                size = os.fstat(handle.fileno()).st_size
+                state.torn_at = size - len(raw.encode("utf-8"))
+                break
             state.records += 1
             kind = payload.get("rt")
             if kind == "admit":

@@ -25,6 +25,7 @@ JOURNAL_MISMATCH = "RT003"
 DEADLOCK = "RT004"
 PROTOCOL_FAULT = "RT005"
 STRANDED_BARRIER = "RT006"
+TORN_TAIL = "RT007"
 
 #: The runtime rule codes, in reporting order.
 RT_CODES = (
@@ -34,6 +35,7 @@ RT_CODES = (
     DEADLOCK,
     PROTOCOL_FAULT,
     STRANDED_BARRIER,
+    TORN_TAIL,
 )
 
 
@@ -103,3 +105,14 @@ def check_protocol_fault(context: LintContext) -> Iterable[Diagnostic]:
 )
 def check_stranded_barrier(context: LintContext) -> Iterable[Diagnostic]:
     return _runtime(context, STRANDED_BARRIER)
+
+
+@rule(
+    TORN_TAIL,
+    "journal-torn-tail",
+    "recovery dropped a torn final journal write (a crash mid-append) and "
+    "truncated the journal back to its last complete record",
+    Severity.WARNING,
+)
+def check_torn_tail(context: LintContext) -> Iterable[Diagnostic]:
+    return _runtime(context, TORN_TAIL)

@@ -9,12 +9,15 @@ that lets ``kernel=True`` be the default everywhere.
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.analysis.conditions import Cond
+from repro.analysis.conditions import Cond, ConditionDomains
 from repro.cli import main
 from repro.core.closure import Semantics, closure_map
 from repro.core.constraints import Constraint, SynchronizationConstraintSet
@@ -31,6 +34,7 @@ from repro.core.kernel import (
 from repro.core.minimize import _candidate_order, minimize_fast
 from repro.core.pipeline import DSCWeaver
 from repro.core.session import MinimizationSession
+from repro.workloads.synthetic import SyntheticSpec, generate_dependency_set
 from tests.strategies import constraint_sets, unconditional_constraint_sets
 from tests.test_pipeline_paper_numbers import FIGURE9_EDGES
 
@@ -261,6 +265,160 @@ class TestSession:
 
     def test_fresh_stats_hit_rate_is_zero(self):
         assert KernelStats().closure_cache_hit_rate == 0.0
+
+
+def whole_closure_merge(session, source, current):
+    """The whole-closure rescan ``_merge_complementary`` replaced (reference).
+
+    Rebuilds the ``(target, base, guard)`` grouping over every fact after
+    each single merge and applies the first eligible group.
+    """
+    interner = session.interner
+    source_guard = session._guard_mask[source]
+    changed = True
+    while changed:
+        changed = False
+        by_base = {}
+        for target, masks in current.items():
+            for mask in masks:
+                remaining = mask
+                while remaining:
+                    low = remaining & -remaining
+                    remaining ^= low
+                    cond = interner.conds[low.bit_length() - 1]
+                    by_base.setdefault((target, mask ^ low, cond.guard), set()).add(
+                        cond.value
+                    )
+        for (target, base, guard), values in by_base.items():
+            if values >= session._domains.domain(guard):
+                required = session._guard_mask_of_name(guard)
+                context = base | source_guard | session._guard_mask[target]
+                if required & context != required:
+                    continue
+                if closure_insert(current, target, base):
+                    changed = True
+                    break
+    return current
+
+
+#: Guards of the merge property, one per domain size (1, 2 and 3 values).
+MERGE_DOMAINS = {"g1": ("only",), "g2": ("T", "F"), "g3": ("x", "y", "z")}
+MERGE_NODES = ["g1", "g2", "g3", "n0", "n1", "n2", "n3"]
+
+
+@st.composite
+def _assignments(draw):
+    """A consistent annotation: at most one value per guard."""
+    conds = set()
+    for guard, domain in MERGE_DOMAINS.items():
+        value = draw(st.sampled_from((None,) + domain))
+        if value is not None:
+            conds.add(Cond(guard, value))
+    return conds
+
+
+@st.composite
+def merge_inputs(draw):
+    """A session with execution guards, a source and a stripped closure.
+
+    Execution guards on the guard activities themselves make some merges
+    subject to the veto; closures are built from complementary families
+    (one base extended by several values of one guard, usually all of them)
+    plus stray facts, so merges cascade and antichain evictions happen.
+    """
+    guards = {}
+    for node in MERGE_NODES:
+        # A guard activity is only guarded by lower-numbered guards (no cycles).
+        allowed = [guard for guard in MERGE_DOMAINS if node not in MERGE_DOMAINS or guard < node]
+        if not allowed:
+            continue
+        chosen = draw(st.lists(st.sampled_from(allowed), max_size=2, unique=True))
+        if chosen:
+            guards[node] = {
+                Cond(guard, draw(st.sampled_from(MERGE_DOMAINS[guard]))) for guard in chosen
+            }
+    sc = SynchronizationConstraintSet(
+        activities=MERGE_NODES, guards=guards, domains=ConditionDomains(MERGE_DOMAINS)
+    )
+    session = MinimizationSession(sc, Semantics.GUARD_AWARE)
+    order = draw(st.permutations([Cond(g, v) for g, d in MERGE_DOMAINS.items() for v in d]))
+    interner = session.interner
+    for cond in order:
+        interner.cond_bit(cond)
+
+    closure = {}
+    nodes = st.sampled_from(range(len(MERGE_NODES)))
+    targets = draw(st.lists(nodes, min_size=1, max_size=4, unique=True))
+    for target in targets:
+        facts = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            base = draw(_assignments())
+            guard = draw(st.sampled_from(sorted(MERGE_DOMAINS)))
+            base = {c for c in base if c.guard != guard}
+            values = list(MERGE_DOMAINS[guard])
+            if draw(st.booleans()) and len(values) > 1:
+                values.pop(draw(st.integers(min_value=0, max_value=len(values) - 1)))
+            facts.extend(base | {Cond(guard, value)} for value in values)
+        facts.extend(draw(st.lists(_assignments(), max_size=3)))
+        for annotation in draw(st.permutations(facts)):
+            closure_insert(closure, target, interner.mask_of(annotation))
+    return session, draw(nodes), closure
+
+
+class TestMergeComplementary:
+    """The per-target fixpoint replays the whole-closure rescan exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=merge_inputs())
+    def test_same_closure_key_and_mask_order(self, case):
+        session, source, closure = case
+        expected = whole_closure_merge(session, source, copy.deepcopy(closure))
+        merged = session._merge_complementary(source, copy.deepcopy(closure))
+        assert list(merged) == list(expected)
+        assert merged == expected
+
+    def test_veto_blocks_a_merge_the_context_lacks(self):
+        domains = ConditionDomains(MERGE_DOMAINS)
+        guarded = SynchronizationConstraintSet(
+            activities=MERGE_NODES, guards={"g3": {Cond("g2", "T")}}, domains=domains
+        )
+        session = MinimizationSession(guarded, Semantics.GUARD_AWARE)
+        interner = session.interner
+        target = interner.node_id("n1")
+        facts = [{Cond("g3", value)} for value in MERGE_DOMAINS["g3"]]
+        closure = {target: [interner.mask_of(f) for f in facts]}
+        vetoed = session._merge_complementary(interner.node_id("n0"), copy.deepcopy(closure))
+        assert 0 not in vetoed[target]
+        # Under g2=T the guard g3 is certain to run: the merge applies.
+        context = {target: [interner.mask_of(f | {Cond("g2", "T")}) for f in facts]}
+        merged = session._merge_complementary(interner.node_id("n0"), context)
+        assert merged[target] == [interner.mask_of({Cond("g2", "T")})]
+
+
+class TestSyntheticPin:
+    def test_syn300_weave_counters_and_minimal_set(self):
+        process, dependencies = generate_dependency_set(
+            SyntheticSpec(
+                n_activities=300, n_services=4, n_branches=2, coop_density=0.5, seed=1
+            )
+        )
+        result = DSCWeaver().weave(process, dependencies)
+        stats = dict(result.report.kernel_stats)
+        stats.pop("closure_cache_hit_rate")
+        assert stats == {
+            "candidates": 665,
+            "cheap_rejects": 563,
+            "closure_cache_hits": 4952,
+            "closures_computed": 1146,
+            "full_checks": 14,
+            "raw_shortcut_accepts": 88,
+            "removed": 102,
+            "subsumption_tests": 56362,
+        }
+        lines = sorted(str(constraint) for constraint in result.minimal.constraints)
+        assert len(lines) == 563
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert digest == "2ae32a12f9d1ede6ea419b28184d75393322a4e3b63f607ae5724a5c10139b59"
 
 
 class TestCandidateOrder:

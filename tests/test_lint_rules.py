@@ -51,6 +51,7 @@ ALL_CODES = (
     "RT004",
     "RT005",
     "RT006",
+    "RT007",
     "SPEC001",
     "SPEC002",
     "SVC001",

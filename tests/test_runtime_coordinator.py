@@ -239,5 +239,6 @@ class TestMetrics:
             "RT004",
             "RT005",
             "RT006",
+            "RT007",
         )
         assert report.exit_code() == 0

@@ -102,6 +102,33 @@ class TestJournalFile:
             read_journal(str(path))
 
 
+    def test_rejects_garbage_followed_by_records(self, tmp_path):
+        admit = json.dumps({"rt": "admit", "case": "c", "time": 0.0, "outcomes": {}})
+        path = tmp_path / "bad.jsonl"
+        path.write_text(admit + "\n" + '{"rt": "adm' + "\n" + admit.replace('"c"', '"d"'))
+        with pytest.raises(JournalError, match="record 2: invalid JSON"):
+            read_journal(str(path))
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_drops_a_torn_final_write(self, tmp_path, strict):
+        admit = json.dumps({"rt": "admit", "case": "c", "time": 0.0, "outcomes": {}})
+        path = tmp_path / "torn.jsonl"
+        path.write_text(admit + "\n" + admit[:17])
+        state = read_journal(str(path), strict=strict)
+        assert state.records == 1
+        assert list(state.cases) == ["c"]
+        assert state.torn_at == len(admit) + 1
+        assert state.torn_fragment == admit[:17]
+
+    def test_complete_final_record_without_newline_is_kept(self, tmp_path):
+        admit = json.dumps({"rt": "admit", "case": "c", "time": 0.0, "outcomes": {}})
+        path = tmp_path / "wal.jsonl"
+        path.write_text(admit)
+        state = read_journal(str(path))
+        assert state.records == 1
+        assert state.torn_at is None
+
+
 class TestFaultInjection:
     def test_crash_after_n_records(self, tmp_path):
         journal = Journal(str(tmp_path / "wal.jsonl"), crash_after=2)
@@ -176,6 +203,40 @@ class TestCrashRecovery:
         recovered.run()
         recovered.close()
         state = read_journal(path)
+        assert not state.in_flight()
+        assert sorted(state.cases) == sorted(plans)
+
+    @pytest.mark.parametrize(
+        "torn_bytes,codes", [(1, []), (17, ["RT007"]), (40, ["RT007"])]
+    )
+    def test_torn_tail_is_cut_and_recovery_matches_uninterrupted(
+        self, tmp_path, program, torn_bytes, codes
+    ):
+        """A crash mid-append leaves a torn last line (or, at one byte, a
+        complete record without its newline); recovery must not glue the
+        next record onto it."""
+        plans = purchasing_plans(10)
+        baseline = run_uninterrupted(program, plans).final_states()
+
+        path = str(tmp_path / "wal.jsonl")
+        crashed = Runtime(program, journal_path=path, crash_after=120)
+        with pytest.raises(SimulatedCrash):
+            crashed.submit_batch(plans)
+            crashed.run()
+        with open(path, "r+b") as handle:
+            handle.truncate(handle.seek(0, 2) - torn_bytes)
+
+        recovered = Runtime.recover(path, program)
+        for case, outcomes in plans.items():
+            if case not in recovered.known_cases:
+                recovered.submit(case, outcomes)
+        report = recovered.run()
+        recovered.close()
+
+        assert report.final_states() == baseline
+        assert [d.code for d in report.diagnostics] == codes
+        state = read_journal(path)
+        assert state.torn_at is None
         assert not state.in_flight()
         assert sorted(state.cases) == sorted(plans)
 
