@@ -40,6 +40,7 @@ import time
 
 import pytest
 
+from benchmarks.stamp import environment
 from repro.core.pipeline import DSCWeaver, extract_all_dependencies
 from repro.runtime import Runtime, SimulatedCrash, WorkerPool, program_from_weave
 from repro.workloads.purchasing import (
@@ -356,6 +357,7 @@ def test_emit_bench_runtime_json(
         "shards": SHARDS,
         "rounds": ROUNDS,
         "cpu_count": cpu_count,
+        "environment": environment(),
         "mask_vs_scheduler": mask_rows,
         "worker_scaling": worker_rows,
         "big_run": big_row,

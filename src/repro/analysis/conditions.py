@@ -168,6 +168,12 @@ def merge_complementary(
     ordering materializes).  Callers with guard metadata pass a predicate
     checking that the guard's own execution guard is implied by ``base``
     plus the execution guards of the fact's endpoints.
+
+    Merges do not commute (a merged fact can subsume a premise of another
+    pending merge), so each round scans facts by ``(target, sorted
+    annotations)`` and each fact's conditions in sorted order: the first
+    eligible merge, and so the result, never depends on set iteration
+    order or the interpreter's hash seed.
     """
     if domains is None:
         domains = ConditionDomains()
@@ -176,8 +182,11 @@ def merge_complementary(
     while changed:
         changed = False
         by_base: Dict[Tuple[str, Annotations, str], Set[str]] = {}
-        for target, annotations in current:
-            for cond in annotations:
+        for target, conds in sorted(
+            (target, sorted(annotations)) for target, annotations in current
+        ):
+            annotations = frozenset(conds)
+            for cond in conds:
                 base = frozenset(annotations - {cond})
                 by_base.setdefault((target, base, cond.guard), set()).add(cond.value)
         for (target, base, guard), values in by_base.items():

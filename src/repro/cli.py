@@ -690,13 +690,12 @@ def _run_serve_command(arguments) -> int:
         if arguments.format == "text":
             print(
                 "redeploy armed: v%d -> v%d after %d completion(s)%s "
-                "(%s re-minimize, %.4fs)"
+                "(re-minimized in %.4fs)"
                 % (
                     deploy_spec.old.version,
                     deploy_spec.new.version,
                     deploy_spec.after,
                     " per worker" if arguments.workers > 1 else "",
-                    "incremental" if redeploy_result.incremental else "cold",
                     redeploy_result.minimize_seconds,
                 )
             )
@@ -923,7 +922,6 @@ def _run_serve_command(arguments) -> int:
             "to_version": deploy_spec.new.version,
             "strategy": deploy_spec.strategy,
             "after": deploy_spec.after,
-            "incremental": redeploy_result.incremental,
             "minimize_seconds": redeploy_result.minimize_seconds,
             "upgraded": report.metrics.upgraded,
             "drained": report.metrics.drained,
@@ -938,7 +936,7 @@ def _run_deploy_command(arguments) -> int:
     """Plan (and optionally apply) a constraint hot swap.
 
     Without ``--from`` this is a pure pre-flight: re-minimize the edited
-    set incrementally, sweep the strand gate (DEP005) and report.  With
+    set (session rebase), sweep the strand gate (DEP005) and report.  With
     ``--from JOURNAL`` the journal's in-flight cases are additionally
     classified into a migration plan; unless ``--dry-run``, the swap is
     applied (or, when the journal holds a crashed swap, rolled forward)
@@ -966,7 +964,7 @@ def _run_deploy_command(arguments) -> int:
         print("cannot load edits: %s" % error, file=sys.stderr)
         return 2
     try:
-        redeploy = registry.redeploy(added=added, removed=removed, cold=arguments.cold)
+        redeploy = registry.redeploy(added=added, removed=removed)
     except ValueError as error:
         print("invalid edit batch: %s" % error, file=sys.stderr)
         return 2
@@ -983,7 +981,6 @@ def _run_deploy_command(arguments) -> int:
         "added": len(redeploy.added),
         "removed": len(redeploy.removed),
         "minimal_size": len(new.minimal.constraints),
-        "incremental": redeploy.incremental,
         "minimize_seconds": redeploy.minimize_seconds,
         "preflight": {
             "prefixes_checked": strand_report.prefixes_checked,
@@ -994,7 +991,7 @@ def _run_deploy_command(arguments) -> int:
     }
     lines = [
         "deploy %s: v%d -> v%d (%+d/-%d edit(s), minimal %d -> %d, "
-        "%s re-minimize in %.4fs)"
+        "re-minimized in %.4fs)"
         % (
             arguments.workload,
             old.version,
@@ -1003,7 +1000,6 @@ def _run_deploy_command(arguments) -> int:
             len(redeploy.removed),
             len(old.minimal.constraints),
             len(new.minimal.constraints),
-            "incremental" if redeploy.incremental else "cold",
             redeploy.minimize_seconds,
         ),
         "preflight strand gate: %d prefix(es) checked, %d stranded%s"
@@ -1082,12 +1078,9 @@ def _run_minimize_command(arguments) -> int:
     from repro.core.pipeline import DSCWeaver
 
     semantics = Semantics(arguments.semantics)
-    kernel = not arguments.no_kernel
     process, dependencies = _load_workload(arguments.workload)
     obs = _make_obs(arguments)
-    weaver = DSCWeaver(
-        semantics=semantics, algorithm=arguments.algorithm, kernel=kernel, obs=obs
-    )
+    weaver = DSCWeaver(semantics=semantics, obs=obs)
     started = time.perf_counter()
     result = weaver.weave(process, dependencies)
     elapsed = time.perf_counter() - started
@@ -1097,14 +1090,12 @@ def _run_minimize_command(arguments) -> int:
     if arguments.stats:
         report = result.report
         print(
-            "minimized %d -> %d constraint(s) (%d removed) | algorithm=%s "
-            "kernel=%s semantics=%s | %.1f ms"
+            "minimized %d -> %d constraint(s) (%d removed) | "
+            "semantics=%s | %.1f ms"
             % (
                 report.translated,
                 report.minimal,
                 report.removed_by_minimization,
-                arguments.algorithm,
-                "on" if kernel else "off",
                 semantics.value,
                 elapsed * 1000.0,
             )
@@ -1332,14 +1323,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--stats",
         action="store_true",
         help="print reduction counts and bitset-kernel counters",
-    )
-    minimize_cmd.add_argument(
-        "--algorithm", default="fast", choices=["fast", "naive"]
-    )
-    minimize_cmd.add_argument(
-        "--no-kernel",
-        action="store_true",
-        help="use the reference frozenset path instead of the bitset kernel",
     )
     minimize_cmd.add_argument(
         "--semantics",
@@ -1647,12 +1630,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--dry-run",
         action="store_true",
         help="plan the migration but apply nothing (no journal writes)",
-    )
-    deploy_cmd.add_argument(
-        "--cold",
-        action="store_true",
-        help="re-minimize from scratch instead of the incremental rebase "
-        "(the timing baseline; identical result)",
     )
     deploy_cmd.add_argument(
         "--state-limit", type=int, default=200_000, metavar="N",

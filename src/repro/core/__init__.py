@@ -13,8 +13,8 @@
 * :mod:`repro.core.translation` — service dependency translation producing
   ``ASC = {A, P}`` (Section 4.3, Figure 8);
 * :mod:`repro.core.minimize` — the minimal dependency set (Definition 6):
-  the paper's naive algorithm plus a fast ancestor-pruned variant, run on
-  the kernel by default;
+  one production pass on the kernel, plus the reference frozenset path and
+  the paper's naive loop as named functions;
 * :mod:`repro.core.pipeline` — the DSCWeaver end-to-end pipeline;
 * :mod:`repro.core.report` — Table 2-style reduction reports.
 """

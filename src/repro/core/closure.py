@@ -265,7 +265,6 @@ def closure_map(
 def internal_closure_map(
     sc: SynchronizationConstraintSet,
     semantics: Semantics = Semantics.GUARD_AWARE,
-    kernel: bool = True,
 ) -> Dict[str, FrozenSet[Fact]]:
     """Closures restricted to internal activities on both sides.
 
@@ -273,7 +272,7 @@ def internal_closure_map(
     translated ``ASC`` must cover exactly the internal-to-internal ordering
     facts of the original ``SC``.
     """
-    full = closure_map(sc, semantics, nodes=sc.activities, kernel=kernel)
+    full = closure_map(sc, semantics, nodes=sc.activities)
     internal = set(sc.activities)
     return {
         node: frozenset(

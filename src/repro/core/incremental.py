@@ -33,7 +33,6 @@ def is_covered(
     sc: SynchronizationConstraintSet,
     constraint: Constraint,
     semantics: Semantics = Semantics.GUARD_AWARE,
-    kernel: bool = True,
 ) -> bool:
     """Is ``constraint``'s ordering already implied by ``sc``?
 
@@ -48,10 +47,8 @@ def is_covered(
         domains=sc.domains,
     )
     source = constraint.source
-    reference = closure_map(
-        reference_set, semantics, nodes=[source], kernel=kernel
-    )[source]
-    closure = closure_map(sc, semantics, nodes=[source], kernel=kernel)[source]
+    reference = closure_map(reference_set, semantics, nodes=[source])[source]
+    closure = closure_map(sc, semantics, nodes=[source])[source]
     return fact_set_covers(closure, reference)
 
 
@@ -59,18 +56,16 @@ def add_constraint_incremental(
     minimal: SynchronizationConstraintSet,
     constraint: Constraint,
     semantics: Semantics = Semantics.GUARD_AWARE,
-    kernel: bool = True,
 ) -> SynchronizationConstraintSet:
     """Add one constraint to an already-minimal set, keeping it minimal.
 
     Returns a new set; the input is never mutated.  If the constraint is
     already covered, the input set is returned unchanged (same object), so
-    callers can detect no-ops with ``is``.  ``kernel`` routes the closure
-    and equivalence checks through the bitset kernel (default).
+    callers can detect no-ops with ``is``.
     """
     if constraint in minimal:
         return minimal
-    if is_covered(minimal, constraint, semantics, kernel=kernel):
+    if is_covered(minimal, constraint, semantics):
         return minimal
 
     current = minimal.copy()
@@ -97,9 +92,7 @@ def add_constraint_incremental(
         check_nodes = [candidate.source] + sorted(
             graph_ancestors(current.as_graph(), candidate.source), key=str
         )
-        if transitive_equivalent(
-            without, current, semantics, nodes=check_nodes, kernel=kernel
-        ):
+        if transitive_equivalent(without, current, semantics, nodes=check_nodes):
             current = without
     return current
 

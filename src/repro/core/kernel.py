@@ -22,13 +22,13 @@ reference                    kernel
 ``is_contradictory(a | b)``  ``a & conflict_of(b) != 0``
 ``normalize_facts``          :func:`antichain_insert`
 ``fact_set_covers``          :func:`closure_covers`
-``merge_complementary``      per-target fixpoint on masks, reference order
+``merge_complementary``      per-target fixpoint on masks
 ===========================  =============================================
 
 The complementary merge runs its fixpoint per target: a merge changes one
 target's antichain and its veto context depends on that target alone, so
 rescanning only that antichain after each merge applies the same merges in
-the same order as the reference's whole-closure rescan (see
+the same order as a whole-closure rescan (see
 :meth:`~repro.core.session.MinimizationSession._merge_complementary`).
 
 Contradiction uses per-bit *conflict masks*: when the bit for ``(g, v)``
@@ -40,8 +40,11 @@ mask because path composition re-joins the same edge masks repeatedly.
 The kernel is exercised through :class:`repro.core.session.MinimizationSession`
 and the ``kernel=True`` paths of :mod:`repro.core.closure` /
 :mod:`repro.core.minimize`; a hypothesis differential property
-(``tests/test_core_kernel.py``) checks it is bit-for-bit equivalent to the
-reference algebra under all three semantics.
+(``tests/test_core_kernel.py``) checks it against the reference algebra
+under all three semantics.  The two scan merges in different orders and
+guard-aware normal forms are not canonical, so they can end at different
+(equivalent) closures; ROADMAP item 5 records a set where that changes the
+minimal set.
 """
 
 from __future__ import annotations

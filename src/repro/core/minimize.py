@@ -7,28 +7,31 @@ The paper's algorithm::
         if P* - {ai -> aj} is transitive equivalent to P:
             P* = P* - {ai -> aj}
 
-Three implementations are provided:
+One production minimizer and two references:
 
-* :func:`minimize_naive` — the algorithm verbatim: every candidate removal
-  re-checks transitive equivalence over *all* activities.  Quadratic in the
-  number of constraints times the closure cost; kept as the reference and
-  as the baseline of the scaling benchmark (S1).
-* :func:`minimize_fast` with ``kernel=False`` — exploits a structural
-  fact: removing the edge ``u -> v`` can only change the closure of ``u``
-  and of ``u``'s ancestors (any path using the edge passes through ``u``).
-  Equivalence is therefore checked on that (usually small) node set only.
-  A cheap pre-test — is the fact ``(v, annotation(e))`` still covered from
-  ``u`` without the edge? — rejects most non-removable edges without
-  touching the ancestors.
-* :func:`minimize_fast` with ``kernel=True`` (the default) — the same
-  three-stage check driven through a
-  :class:`~repro.core.session.MinimizationSession`: annotations are packed
-  into integer bitmasks, closures are cached per node and incrementally
-  invalidated on accepted removals, so the per-candidate graph rebuild and
-  from-scratch closure recomputation of the reference path disappear.  The
-  result is constraint-for-constraint identical to the reference (property
-  tested in ``tests/test_core_kernel.py``); cyclic sets fall back to the
-  reference path automatically.
+* :func:`minimize_fast` (also bound as :func:`minimize`) — the production
+  pass.  It exploits a structural fact: removing the edge ``u -> v`` can
+  only change the closure of ``u`` and of ``u``'s ancestors (any path
+  using the edge passes through ``u``), so equivalence is checked on that
+  (usually small) node set only, after two cheaper stages: a raw-cover
+  shortcut and a single-fact pre-test that rejects most non-removable
+  edges without touching the ancestors.  The stages run on a
+  :class:`~repro.core.session.MinimizationSession`
+  (:meth:`~repro.core.session.MinimizationSession.minimized`, the one
+  constructor of a minimization pass): annotations are packed into
+  integer bitmasks and closures are cached per node and invalidated
+  incrementally on accepted removals.
+* :func:`minimize_fast` with ``kernel=False`` — the same three stages on
+  the reference frozenset closures, rebuilt per candidate.  It is the
+  differential oracle of the kernel and the path cyclic sets fall back
+  to.  The two agree on every generated and workload set the tests pin
+  (``tests/test_core_kernel.py``), but not on every set: guard-aware
+  closures are not in a canonical form, so the kernel can keep a
+  constraint the reference drops (ROADMAP item 5).
+* :func:`minimize_naive` — the algorithm verbatim on the reference
+  closures: every candidate removal re-checks transitive equivalence
+  over *all* activities.  Quadratic in the number of constraints times
+  the closure cost; the baseline of the scaling benchmark (S1).
 
 All are order-dependent (the minimal set is not unique, as the paper
 notes, mirroring minimal covers of functional dependencies); all iterate
@@ -37,7 +40,7 @@ constraints in deterministic insertion order so results are reproducible.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.analysis.graphs import ancestors as graph_ancestors
 
@@ -47,72 +50,25 @@ from repro.core.closure import Semantics, annotated_closure, raw_closure
 from repro.core.constraints import Constraint, SynchronizationConstraintSet
 from repro.core.equivalence import fact_set_covers, transitive_equivalent
 from repro.core.kernel import KernelStats
-
-
-def _candidate_order(
-    sc: SynchronizationConstraintSet, order: Optional[Sequence[Constraint]]
-) -> List[Constraint]:
-    if order is None:
-        return sc.constraints
-    ordered = list(order)
-    known = set(sc.constraints)
-    unknown = [c for c in ordered if c not in known]
-    if unknown:
-        raise ValueError("order mentions constraints not in the set: %r" % unknown)
-    explicit = set(ordered)
-    missing = [c for c in sc.constraints if c not in explicit]
-    return ordered + missing
+from repro.core.session import MinimizationSession, candidate_order
 
 
 def minimize_naive(
     sc: SynchronizationConstraintSet,
     semantics: Semantics = Semantics.GUARD_AWARE,
     order: Optional[Sequence[Constraint]] = None,
-    kernel: bool = False,
 ) -> SynchronizationConstraintSet:
     """Definition 6, checked globally against the original set each step.
 
-    ``kernel`` routes the per-candidate equivalence checks through the
-    bitset closure kernel; it defaults off so this function stays the
-    paper-verbatim scaling baseline.
+    Every check runs on the reference frozenset closures: this is the
+    paper-verbatim pass and the scaling baseline.
     """
     current = sc.copy()
-    for constraint in _candidate_order(sc, order):
+    for constraint in candidate_order(sc, order):
         candidate = current.without(constraint)
-        if transitive_equivalent(candidate, sc, semantics, kernel=kernel):
+        if transitive_equivalent(candidate, sc, semantics, kernel=False):
             current = candidate
     return current
-
-
-def _minimize_fast_kernel(
-    sc: SynchronizationConstraintSet,
-    semantics: Semantics,
-    order: Optional[Sequence[Constraint]],
-    stats: Optional[KernelStats],
-    obs: Optional["Observability"] = None,
-) -> Optional[SynchronizationConstraintSet]:
-    """Session-driven minimization; ``None`` when the set is cyclic."""
-    from repro.core.session import MinimizationSession
-
-    candidates = _candidate_order(sc, order)
-    try:
-        session = MinimizationSession(sc, semantics, stats=stats, obs=obs)
-    except ValueError:
-        # The kernel needs a topological order; cyclic sets fall back to
-        # the reference path, whose worklist closures tolerate cycles.
-        return None
-    if obs is None:
-        for constraint in candidates:
-            session.try_remove(constraint)
-    else:
-        with obs.tracer.span(
-            "core.minimize", constraints=len(sc), semantics=semantics.name
-        ):
-            for constraint in candidates:
-                session.try_remove(constraint)
-        if stats is not None:
-            stats.publish(obs.metrics)
-    return session.to_constraint_set()
 
 
 def minimize_fast(
@@ -137,11 +93,18 @@ def minimize_fast(
     :class:`~repro.core.kernel.KernelStats` counters on the kernel path.
     """
     if kernel:
-        minimized = _minimize_fast_kernel(sc, semantics, order, stats, obs=obs)
-        if minimized is not None:
-            return minimized
+        try:
+            session = MinimizationSession.minimized(
+                sc, semantics, order, stats=stats, obs=obs
+            )
+        except ValueError:
+            # The kernel needs a topological order; cyclic sets fall back
+            # to the reference path, whose worklist closures tolerate cycles.
+            pass
+        else:
+            return session.to_constraint_set()
     current = sc.copy()
-    for constraint in _candidate_order(sc, order):
+    for constraint in candidate_order(sc, order):
         candidate = current.without(constraint)
 
         # Shortcut: if the *raw* closure of the source is still covered
@@ -178,21 +141,8 @@ def minimize_fast(
     return current
 
 
-def minimize(
-    sc: SynchronizationConstraintSet,
-    semantics: Semantics = Semantics.GUARD_AWARE,
-    order: Optional[Sequence[Constraint]] = None,
-    algorithm: str = "fast",
-    kernel: bool = True,
-    stats: Optional[KernelStats] = None,
-    obs: Optional["Observability"] = None,
-) -> SynchronizationConstraintSet:
-    """Minimize ``sc`` with the chosen algorithm (``"fast"`` or ``"naive"``)."""
-    if algorithm == "fast":
-        return minimize_fast(sc, semantics, order, kernel=kernel, stats=stats, obs=obs)
-    if algorithm == "naive":
-        return minimize_naive(sc, semantics, order, kernel=kernel)
-    raise ValueError("unknown minimization algorithm %r" % algorithm)
+#: The production minimizer under its pipeline-facing name.
+minimize = minimize_fast
 
 
 def is_minimal(

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, List, Optional
 
+from repro.analysis.graphs import find_cycle
 from repro.core.closure import Semantics
 from repro.obs.trace import NOOP_SPAN as _NOOP
 
@@ -76,30 +77,11 @@ class WeaveResult:
     fine_grained: List[HappenBefore] = field(default_factory=list)
     exclusives: List[Exclusive] = field(default_factory=list)
     semantics: Semantics = Semantics.GUARD_AWARE
-    #: Populated by :meth:`run_lint` (or by ``DSCWeaver(lint=True)``).
-    lint_report: Optional[object] = None
 
     @property
     def asc(self) -> SynchronizationConstraintSet:
         """The translated (pre-minimization) activity constraint set."""
         return self.translation.asc
-
-    def run_lint(self, config=None, construct=None, conversations=()):
-        """Run the static analyzer over this result (lazy import).
-
-        Stores the :class:`~repro.lint.diagnostics.LintReport` on
-        ``self.lint_report``, folds its severity rollup into
-        ``self.report`` and returns it.
-        """
-        from repro.lint import LintContext, run_lint
-
-        context = LintContext.from_weave(
-            self, construct=construct, conversations=conversations
-        )
-        report = run_lint(context, config)
-        self.lint_report = report
-        self.report = self.report.with_lint_counts(report.counts_by_severity())
-        return report
 
     def to_bpel(self) -> str:
         """Emit the minimal set as BPEL-style XML (lazy import)."""
@@ -117,29 +99,23 @@ class WeaveResult:
 class DSCWeaver:
     """The weaving engine.
 
+    A synchronization cycle in the merged set raises
+    :class:`~repro.errors.CycleError` before optimization — the static
+    detection of "infinite synchronization sequences" the paper attributes
+    to the design stage.  Static analysis of a result is
+    ``run_lint(LintContext.from_weave(result))`` (or ``dscweaver lint``).
+
     Parameters
     ----------
     semantics:
         Equivalence semantics for minimization (default guard-aware, the
         mode that reproduces the paper's Table 2).
-    algorithm:
-        ``"fast"`` (ancestor-pruned) or ``"naive"`` (the paper's Definition
-        6 loop verbatim).
     kernel:
         When true (default), minimization runs on the interned bitset
         kernel with a memoized session
         (:class:`~repro.core.session.MinimizationSession`) and its
         counters are attached to ``WeaveResult.report.kernel_stats``;
         ``False`` selects the reference frozenset path.
-    check_cycles:
-        When true (default), a synchronization cycle in the merged set
-        raises :class:`~repro.errors.CycleError` before optimization — the
-        static detection of "infinite synchronization sequences" the paper
-        attributes to the design stage.
-    lint:
-        When true, run the :mod:`repro.lint` static analyzer after
-        minimization; findings land on ``WeaveResult.lint_report`` and the
-        severity rollup on the reduction report.
     obs:
         Optional :class:`~repro.obs.Observability` bundle: per-phase
         ``weave.*`` spans, per-candidate ``core.try_remove`` timing and
@@ -150,17 +126,11 @@ class DSCWeaver:
     def __init__(
         self,
         semantics: Semantics = Semantics.GUARD_AWARE,
-        algorithm: str = "fast",
         kernel: bool = True,
-        check_cycles: bool = True,
-        lint: bool = False,
         obs: Optional["Observability"] = None,
     ) -> None:
         self.semantics = semantics
-        self.algorithm = algorithm
         self.kernel = kernel
-        self.check_cycles = check_cycles
-        self.lint = lint
         self.obs = obs
 
     def weave(
@@ -184,12 +154,9 @@ class DSCWeaver:
             compiled = compile_dependencies(process, dependencies)
         merged = compiled.sc
 
-        if self.check_cycles:
-            from repro.analysis.graphs import find_cycle
-
-            cycle = find_cycle(merged.as_graph())
-            if cycle is not None:
-                raise CycleError([str(node) for node in cycle])
+        cycle = find_cycle(merged.as_graph())
+        if cycle is not None:
+            raise CycleError([str(node) for node in cycle])
 
         with tracer.span("weave.translate") if tracer else _NOOP:
             translation = translate_service_dependencies(
@@ -200,7 +167,6 @@ class DSCWeaver:
             minimal = minimize(
                 translation.asc,
                 semantics=self.semantics,
-                algorithm=self.algorithm,
                 kernel=self.kernel,
                 stats=stats,
                 obs=obs,
@@ -212,10 +178,10 @@ class DSCWeaver:
             minimal=len(minimal),
         )
         if stats is not None and stats.candidates:
-            # candidates == 0 means the kernel never ran (naive algorithm,
-            # cyclic fallback, or an empty set) — no counters to report.
+            # candidates == 0 means the kernel never ran (cyclic fallback
+            # or an empty set) — no counters to report.
             report = report.with_kernel_stats(stats.as_dict())
-        result = WeaveResult(
+        return WeaveResult(
             process=process,
             dependencies=dependencies,
             program=dependencies_to_program(dependencies),
@@ -227,10 +193,6 @@ class DSCWeaver:
             exclusives=compiled.exclusives,
             semantics=self.semantics,
         )
-        if self.lint:
-            with tracer.span("weave.lint") if tracer else _NOOP:
-                result.run_lint()
-        return result
 
 
 def weave(

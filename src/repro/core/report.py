@@ -32,10 +32,6 @@ class ReductionReport:
         eliminated).
     ``minimal``
         Constraints in the minimal set (Table 2's "after").
-    ``lint_counts``
-        Optional static-analysis rollup (``info``/``warning``/``error``
-        finding counts from :mod:`repro.lint`), attached when the pipeline
-        ran with linting enabled.
     ``kernel_stats``
         Optional bitset-kernel counters (closures computed, cache hits,
         subsumption tests — see :class:`repro.core.kernel.KernelStats`),
@@ -47,7 +43,6 @@ class ReductionReport:
     merged: int
     translated: int
     minimal: int
-    lint_counts: Optional[Dict[str, int]] = None
     kernel_stats: Optional[Dict[str, object]] = None
 
     @property
@@ -92,10 +87,6 @@ class ReductionReport:
             minimal=minimal,
         )
 
-    def with_lint_counts(self, counts: Dict[str, int]) -> "ReductionReport":
-        """A copy of this report carrying a lint severity rollup."""
-        return replace(self, lint_counts=dict(counts))
-
     def with_kernel_stats(self, stats: Dict[str, object]) -> "ReductionReport":
         """A copy of this report carrying bitset-kernel counters."""
         return replace(self, kernel_stats=dict(stats))
@@ -114,16 +105,6 @@ class ReductionReport:
         lines.append("%-25s  %11d" % ("translated (Sec 4.3)", self.translated))
         lines.append("%-25s  %11d" % ("minimal (Def 6)", self.minimal))
         lines.append("%-25s  %11d" % ("removed", self.removed))
-        if self.lint_counts is not None:
-            lines.append(
-                "%-25s  %d error(s), %d warning(s), %d info"
-                % (
-                    "lint",
-                    self.lint_counts.get("error", 0),
-                    self.lint_counts.get("warning", 0),
-                    self.lint_counts.get("info", 0),
-                )
-            )
         if self.kernel_stats is not None:
             hit_rate = self.kernel_stats.get("closure_cache_hit_rate", 0.0)
             lines.append(
@@ -148,8 +129,6 @@ class ReductionReport:
             "removed": self.removed,
             "reduction_ratio": self.reduction_ratio,
         }
-        if self.lint_counts is not None:
-            payload["lint_counts"] = dict(self.lint_counts)
         if self.kernel_stats is not None:
             payload["kernel_stats"] = dict(self.kernel_stats)
         return payload

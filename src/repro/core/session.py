@@ -1,6 +1,6 @@
 """Memoized minimization sessions over the interned bitset kernel.
 
-The reference :func:`repro.core.minimize.minimize_fast` treats the
+The reference path (``minimize_fast(..., kernel=False)``) treats the
 constraint set as immutable: every candidate edge rebuilds
 ``current.as_graph()``, recomputes ancestor sets, and re-derives raw
 closures from scratch.  A :class:`MinimizationSession` keeps one mutable
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:
     from repro.obs import Observability
@@ -58,8 +58,25 @@ from repro.core.kernel import (
     closure_insert,
     closure_to_facts,
 )
+from repro.obs.trace import NOOP_SPAN
 
 _EdgeKey = Tuple[str, str, Optional[str]]
+
+
+def candidate_order(
+    sc: SynchronizationConstraintSet, order: Optional[Sequence[Constraint]]
+) -> List[Constraint]:
+    """``order`` followed by the constraints it leaves out, in set order."""
+    if order is None:
+        return sc.constraints
+    ordered = list(order)
+    known = set(sc.constraints)
+    unknown = [c for c in ordered if c not in known]
+    if unknown:
+        raise ValueError("order mentions constraints not in the set: %r" % unknown)
+    explicit = set(ordered)
+    missing = [c for c in sc.constraints if c not in explicit]
+    return ordered + missing
 
 
 @dataclass
@@ -75,11 +92,11 @@ class _Edge:
 class MinimizationSession:
     """Incremental closure cache for one constraint set under one semantics.
 
-    The session is the engine behind ``minimize_fast(..., kernel=True)``
-    and the kernel path of ``closure_map``; it can also be driven directly:
+    The session is the engine behind ``minimize_fast`` (via
+    :meth:`minimized`), the registry's redeploys (via :meth:`rebase`) and
+    the kernel path of ``closure_map``; it can also be driven directly:
 
-    >>> session = MinimizationSession(sc, Semantics.GUARD_AWARE)
-    >>> session.try_remove(constraint)   # doctest: +SKIP
+    >>> session = MinimizationSession.minimized(sc, Semantics.GUARD_AWARE)  # doctest: +SKIP
     >>> session.to_constraint_set()      # doctest: +SKIP
     """
 
@@ -140,6 +157,39 @@ class MinimizationSession:
         # keyed by edge key: (accepted, deciding_stage).  rebase() replays
         # these for candidates outside an edit's dependency region.
         self._decisions: Dict[_EdgeKey, Tuple[bool, str]] = {}
+
+    @classmethod
+    def minimized(
+        cls,
+        sc: SynchronizationConstraintSet,
+        semantics: Semantics = Semantics.GUARD_AWARE,
+        order: Optional[Sequence[Constraint]] = None,
+        stats: Optional[KernelStats] = None,
+        obs: Optional["Observability"] = None,
+    ) -> "MinimizationSession":
+        """A session that has run the full candidate pass over ``sc``.
+
+        Candidates are tried in ``order`` (unlisted constraints follow in
+        declaration order); the minimal set is ``to_constraint_set()`` and
+        the session is ready for :meth:`rebase`, which replays candidates
+        in declaration order.  Raises ``ValueError`` on
+        a cyclic set or an ``order`` naming constraints not in ``sc``.
+        With ``obs`` the pass runs inside a ``core.minimize`` span and
+        ``stats`` are published to its metrics afterwards.
+        """
+        candidates = candidate_order(sc, order)
+        session = cls(sc, semantics, stats=stats, obs=obs)
+        span = (
+            obs.tracer.span("core.minimize", constraints=len(sc), semantics=semantics.name)
+            if obs is not None
+            else NOOP_SPAN
+        )
+        with span:
+            for constraint in candidates:
+                session.try_remove(constraint)
+        if obs is not None and stats is not None:
+            stats.publish(obs.metrics)
+        return session
 
     # -- closures ------------------------------------------------------------
 

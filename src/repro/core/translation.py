@@ -29,7 +29,7 @@ Two mechanisms compose:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.constraints import Constraint, SynchronizationConstraintSet
 from repro.errors import TranslationError
@@ -131,26 +131,28 @@ def translate_service_dependencies(
 
     # Pass 2: bridge the remaining external nodes.
     still_external = external - set(invoke_bindings)
-    successors: Dict[str, Set[Tuple[str, Optional[str]]]] = {}
+    # Successor and offspring collections are insertion-ordered dicts, not
+    # sets: the bridged edges are emitted in this order, and a set's order
+    # would make the translated set (and so the minimize candidate order)
+    # depend on the interpreter's hash seed.
+    successors: Dict[str, Dict[str, None]] = {}
     for constraint in contracted:
-        successors.setdefault(constraint.source, set()).add(
-            (constraint.target, constraint.condition)
-        )
+        successors.setdefault(constraint.source, {})[constraint.target] = None
 
-    offspring_cache: Dict[str, Set[str]] = {}
+    offspring_cache: Dict[str, Dict[str, None]] = {}
 
-    def internal_offspring(node: str) -> Set[str]:
+    def internal_offspring(node: str) -> Dict[str, None]:
         """Internal nodes reachable from external ``node`` through
-        exclusively external interior nodes."""
+        exclusively external interior nodes, in first-reached order."""
         if node in offspring_cache:
             return offspring_cache[node]
-        offspring_cache[node] = set()  # breaks cycles defensively
-        found: Set[str] = set()
-        for target, _condition in successors.get(node, ()):
+        offspring_cache[node] = {}  # breaks cycles defensively
+        found: Dict[str, None] = {}
+        for target in successors.get(node, ()):
             if target in still_external:
-                found |= internal_offspring(target)
+                found.update(internal_offspring(target))
             else:
-                found.add(target)
+                found[target] = None
         offspring_cache[node] = found
         return found
 
@@ -215,22 +217,20 @@ def translate_service_dependencies(
 def verify_translation(
     original: SynchronizationConstraintSet,
     result: TranslationResult,
-    kernel: bool = True,
 ) -> bool:
     """Check the Section-4.3 correctness statement of a translation.
 
     Every internal-to-internal reachability fact of the mixed set must
     survive translation — the ``ASC`` covers the internal projection of the
     original closure.  (Port contraction may *strengthen* the set, so the
-    converse need not hold.)  Runs on the bitset closure kernel by default
-    (``kernel=False`` for the reference path); used by the differential
-    tests and the core perf smoke job.
+    converse need not hold.)  Runs on the bitset closure kernel; used by
+    the differential tests and the core perf smoke job.
     """
     from repro.core.closure import Semantics, internal_closure_map
     from repro.core.equivalence import fact_set_covers
 
-    before = internal_closure_map(original, Semantics.REACHABILITY, kernel=kernel)
-    after = internal_closure_map(result.asc, Semantics.REACHABILITY, kernel=kernel)
+    before = internal_closure_map(original, Semantics.REACHABILITY)
+    after = internal_closure_map(result.asc, Semantics.REACHABILITY)
     for activity in original.activities:
         original_facts = before.get(activity, frozenset())
         translated_facts = after.get(activity, frozenset())

@@ -17,8 +17,7 @@ region and re-checks only inside it.  The result is bit-identical to a
 cold ``minimize_fast`` on the edited declared set (pinned by a Hypothesis
 differential in ``tests/test_session_rebase.py``) at a fraction of the
 cost (``benchmarks/bench_deploy.py``).  Cyclic edited sets raise before
-any state changes; ``cold=True`` forces the from-scratch path as the
-timing baseline.
+any state changes.
 """
 
 from __future__ import annotations
@@ -52,10 +51,8 @@ class RedeployResult:
     """What one :meth:`ProgramRegistry.redeploy` produced."""
 
     version: ProgramVersion
-    #: wall-clock seconds spent re-minimizing (rebase or cold).
+    #: wall-clock seconds spent re-minimizing (the session rebase).
     minimize_seconds: float
-    #: True when the session rebase ran; False on the cold fallback.
-    incremental: bool
     added: Tuple[Constraint, ...]
     removed: Tuple[Constraint, ...]
 
@@ -121,11 +118,10 @@ class ProgramRegistry:
         self._obs = obs
         self._versions: Dict[int, ProgramVersion] = {}
         self.current_version = 0
-        self._session: Optional[MinimizationSession] = None
 
         started = _time.perf_counter()
-        minimal = self._minimize_cold(declared)
-        self._publish(declared, minimal)
+        self._session = MinimizationSession.minimized(declared, semantics)
+        self._publish(declared, self._session.to_constraint_set())
         self.base_minimize_seconds = _time.perf_counter() - started
 
     @classmethod
@@ -175,15 +171,13 @@ class ProgramRegistry:
         self,
         added: Tuple[Constraint, ...] = (),
         removed: Tuple[Constraint, ...] = (),
-        cold: bool = False,
     ) -> RedeployResult:
         """Re-minimize the edited declared set and publish the next version.
 
-        Incremental by default (session :meth:`rebase`); ``cold=True``
-        re-minimizes from scratch — same result, measured as the baseline
-        by ``benchmarks/bench_deploy.py``.  Invalid edits (unknown
-        activities, unknown removals, introduced cycles) raise ``ValueError``
-        before any registry or session state changes.
+        The live session's :meth:`rebase` does the re-minimization.
+        Invalid edits (unknown activities, unknown removals, introduced
+        cycles) raise ``ValueError`` before any registry or session state
+        changes.
         """
         added = tuple(added)
         removed = tuple(removed)
@@ -192,7 +186,6 @@ class ProgramRegistry:
                 "deploy.redeploy",
                 added=len(added),
                 removed=len(removed),
-                cold=cold,
             )
             if self._obs is not None
             else None
@@ -202,12 +195,7 @@ class ProgramRegistry:
         started = _time.perf_counter()
         try:
             declared = self._edited_declared(added, removed)
-            if not cold and self._session is not None:
-                minimal = self._session.rebase(added=added, removed=removed)
-                incremental = True
-            else:
-                minimal = self._minimize_cold(declared)
-                incremental = False
+            minimal = self._session.rebase(added=added, removed=removed)
         finally:
             elapsed = _time.perf_counter() - started
             if span is not None:
@@ -218,8 +206,7 @@ class ProgramRegistry:
             self._obs.metrics.histogram(
                 "repro_deploy_rebase_seconds",
                 "Wall-clock cost of one redeploy re-minimization.",
-                ("mode",),
-            ).labels(mode="incremental" if incremental else "cold").observe(elapsed)
+            ).observe(elapsed)
             self._obs.metrics.counter(
                 "repro_deploy_redeploys_total",
                 "Published program versions beyond the base deployment.",
@@ -227,7 +214,6 @@ class ProgramRegistry:
         return RedeployResult(
             version=entry,
             minimize_seconds=elapsed,
-            incremental=incremental,
             added=added,
             removed=removed,
         )
@@ -275,16 +261,6 @@ class ProgramRegistry:
                 continue
             additions.append(constraint)
         return declared.replace_constraints(survivors + additions)
-
-    def _minimize_cold(
-        self, declared: SynchronizationConstraintSet
-    ) -> SynchronizationConstraintSet:
-        """Cold pass; (re)builds the session ``rebase`` continues from."""
-        session = MinimizationSession(declared, self.semantics)
-        for constraint in declared.constraints:
-            session.try_remove(constraint)
-        self._session = session
-        return session.to_constraint_set()
 
     def _publish(
         self,

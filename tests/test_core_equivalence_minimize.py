@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import networkx as nx
-import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.core.closure import Semantics
@@ -165,11 +164,6 @@ class TestMinimizeProperties:
         reachability = len(minimize(sc, Semantics.REACHABILITY))
         assert strict >= reachability
         assert guard_aware >= reachability
-
-    def test_unknown_algorithm_rejected(self):
-        sc = sc_of([("a", "b")])
-        with pytest.raises(ValueError):
-            minimize(sc, algorithm="magic")
 
     def test_explicit_order_changes_survivors(self):
         """The minimal set is not unique (paper, Section 4.4): with A->B,

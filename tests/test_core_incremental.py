@@ -6,9 +6,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.closure import Semantics
+from repro.core.closure import Semantics, closure_map
 from repro.core.constraints import Constraint
-from repro.core.equivalence import transitive_equivalent
+from repro.core.equivalence import fact_set_covers, transitive_equivalent
 from repro.core.incremental import (
     add_constraint_incremental,
     is_covered,
@@ -130,14 +130,23 @@ class TestDuplicateClosureEdge:
             ],
         )
 
+    @staticmethod
+    def _covered_on(minimal, duplicate, kernel):
+        """The closure of the duplicate's source subsumes its own fact."""
+        alone = minimal.replace_constraints([duplicate])
+        source = duplicate.source
+        return fact_set_covers(
+            closure_map(minimal, Semantics.GUARD_AWARE, kernel=kernel)[source],
+            closure_map(alone, Semantics.GUARD_AWARE, kernel=kernel)[source],
+        )
+
     @pytest.mark.parametrize("kernel", [True, False])
     def test_noop_on_both_evaluator_paths(self, kernel):
         minimal = minimize(self._chain(), Semantics.GUARD_AWARE)
         duplicate = Constraint("b", "d")  # closure already has b ->* d
-        assert is_covered(minimal, duplicate, Semantics.GUARD_AWARE, kernel=kernel)
-        result = add_constraint_incremental(
-            minimal, duplicate, Semantics.GUARD_AWARE, kernel=kernel
-        )
+        assert self._covered_on(minimal, duplicate, kernel)
+        assert is_covered(minimal, duplicate, Semantics.GUARD_AWARE)
+        result = add_constraint_incremental(minimal, duplicate, Semantics.GUARD_AWARE)
         assert result is minimal
 
     @pytest.mark.parametrize("kernel", [True, False])
@@ -152,9 +161,8 @@ class TestDuplicateClosureEdge:
         )
         minimal = minimize(sc, Semantics.GUARD_AWARE)
         duplicate = Constraint("a", "c", "T")
-        result = add_constraint_incremental(
-            minimal, duplicate, Semantics.GUARD_AWARE, kernel=kernel
-        )
+        assert self._covered_on(minimal, duplicate, kernel)
+        result = add_constraint_incremental(minimal, duplicate, Semantics.GUARD_AWARE)
         assert result is minimal
 
     def test_rebase_matches_cold_without_spurious_invalidation(self):
@@ -164,9 +172,7 @@ class TestDuplicateClosureEdge:
 
         sc = self._chain()
         stats = KernelStats()
-        session = MinimizationSession(sc, Semantics.GUARD_AWARE, stats=stats)
-        for constraint in sc.constraints:
-            session.try_remove(constraint)
+        session = MinimizationSession.minimized(sc, Semantics.GUARD_AWARE, stats=stats)
 
         # A declared duplicate is a pure no-op: nothing re-checked.
         candidates_before = stats.candidates

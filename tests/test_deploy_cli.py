@@ -38,7 +38,6 @@ class TestDeployCommand:
         payload = _json_out(capsys)
         assert payload["from_version"] == 1
         assert payload["to_version"] == 2
-        assert payload["incremental"] is True
         assert payload["removed"] == 1
         assert payload["preflight"]["safe"] is True
         assert payload["preflight"]["stranded"] == 0
@@ -49,6 +48,14 @@ class TestDeployCommand:
         out = capsys.readouterr().out
         assert "v1 -> v2" in out
         assert "preflight strand gate" in out
+
+    def test_cold_flag_exits_two(self, edits, capsys):
+        # The session rebase is the only re-minimization; there is no
+        # from-scratch mode to select.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["deploy", "purchasing", "--to", edits, "--cold"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --cold" in capsys.readouterr().err
 
     def test_missing_edits_file_is_a_usage_error(self, tmp_path, capsys):
         assert main(["deploy", "--to", str(tmp_path / "nope.json")]) == 2
@@ -169,7 +176,6 @@ class TestServeHotSwap:
         deploy = payload["deploy"]
         assert deploy["from_version"] == 1
         assert deploy["to_version"] == 2
-        assert deploy["incremental"] is True
         assert deploy["upgraded"] == 10
         assert deploy["rejected"] == 0
         assert sorted(set(deploy["versions"].values())) == [1, 2]

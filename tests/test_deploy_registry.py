@@ -62,20 +62,9 @@ class TestRedeploy:
         registry = ProgramRegistry.from_weave(purchasing_weave)
         removed = (_redundant(registry.current)[0],)
         result = registry.redeploy(removed=removed)
-        assert result.incremental
         assert result.version.version == 2
         cold = minimize_fast(result.version.declared, semantics=registry.semantics)
         assert _keys(result.version.minimal) == _keys(cold)
-
-    def test_cold_flag_forces_the_baseline(self, purchasing_weave):
-        registry = ProgramRegistry.from_weave(purchasing_weave)
-        removed = (_redundant(registry.current)[0],)
-        result = registry.redeploy(removed=removed, cold=True)
-        assert not result.incremental
-        reference = ProgramRegistry.from_weave(purchasing_weave)
-        assert _keys(result.version.minimal) == _keys(
-            reference.redeploy(removed=removed).version.minimal
-        )
 
     def test_versions_accumulate(self, purchasing_weave):
         registry = ProgramRegistry.from_weave(purchasing_weave)

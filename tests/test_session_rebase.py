@@ -32,10 +32,8 @@ def _key(constraint):
 
 
 def _minimize_with_session(sc, semantics):
-    """The exact cold pass the kernel path of ``minimize_fast`` runs."""
-    session = MinimizationSession(sc, semantics)
-    for constraint in sc.constraints:
-        session.try_remove(constraint)
+    """The production cold pass and the minimal set it leaves."""
+    session = MinimizationSession.minimized(sc, semantics)
     return session, session.to_constraint_set()
 
 
